@@ -2,9 +2,11 @@
 """Benchmark the compiled kernels against the pure-numpy fallback.
 
 Times the three hot scalar kernels on large arrays plus one end-to-end
-Monte Carlo call per backend. Run from the repository root:
+Monte Carlo call per backend. Build the kernels first, then run from the
+repository root:
 
-    python benchmarks/bench_backends.py [N]
+    python setup.py build_ext --inplace
+    PYTHONPATH=src python benchmarks/bench_backends.py [N]
 """
 
 import sys
@@ -13,11 +15,10 @@ import time
 import numpy as np
 
 from hcdetect import _purekernels as pure
+from hcdetect import backend
 
-try:
-    from hcdetect import _native as native
-except ImportError:
-    native = None
+# the compiled kernels as hcdetect.backend loads them, if they are built
+native = backend if backend.backend_name() == "native" else None
 
 
 def _time(fn, *args, repeats=5):

@@ -1,39 +1,26 @@
 """Build hook for the optional compiled kernel.
 
-The package is pure Python by default; if Cython and a C compiler are
-available the hot special-function kernels are built as an extension
-(`hcdetect._native`) and picked up automatically at import time.
+The package is pure Python by default. With a C compiler the hot
+special-function kernels in ``src/hcdetect/_native.c`` (plain C, no Python
+API) are built into the package as the ``hcdetect._native`` extension file,
+which ``hcdetect.backend`` loads with ctypes at import time.
 
     python setup.py build_ext --inplace
 
-A failed extension build falls back to a pure install.
+A failed build falls back to a pure install.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    import numpy
-    from Cython.Build import cythonize
-    from setuptools import Extension
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "hcdetect._native",
-                ["src/hcdetect/_native.pyx"],
-                include_dirs=[numpy.get_include()],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={
-            "language_level": 3,
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-        },
-    )
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "hcdetect._native",
+            ["src/hcdetect/_native.c"],
+            # no FMA contraction: keeps the kernels' rounding the same as
+            # the pure-numpy oracle on FMA-capable targets too
+            extra_compile_args=["-O3", "-ffp-contract=off"],
+            optional=True,
+        )
+    ]
+)

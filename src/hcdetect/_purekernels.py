@@ -2,16 +2,18 @@
 
 Vendored rational approximations:
 
-* ``erf`` / ``erfc`` follow the classic FreeBSD ``msun`` piecewise scheme
-  (Sun Microsystems, 1993; freely redistributable), including the
+* ``erfc`` follows the classic FreeBSD ``msun`` piecewise scheme (Sun
+  Microsystems, 1993; freely redistributable), including the
   split-argument trick ``exp(-z*z - 0.5625) * exp((z-x)(z+x) + R/S)`` with
   the low mantissa word of ``z`` zeroed, which keeps the tail accurate to
   about 1 ulp out to ``erfc(28)``.
 * ``ndtri`` is Wichura's PPND16 rational approximation (AS 241) for the
   standard normal quantile, accurate to ~1e-15 relative.
 
-These are the fallback implementations; ``hcdetect._native`` provides the
-same algorithms as a compiled extension and must agree to a few ulp.
+These are the fallback implementations and the oracle for the compiled
+ones: ``_native.c`` holds the same algorithms and coefficients and must
+agree to a few ulp. ``_vectorized`` is the array/scalar shape handling that
+both backends share.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 ERX = 8.45062911510467529297e-01
-EFX = 1.28379167095512586316e-01
 
 PP = (
     1.28379167095512558561e-01,
@@ -188,44 +189,6 @@ def _tail_factor(ax: np.ndarray, r_over_s: np.ndarray) -> np.ndarray:
     # exp(-z*z - 0.5625) * exp((z - ax)(z + ax) + R/S) for ax >= 1.25
     z = _zero_low_word(ax)
     return np.exp(-z * z - 0.5625) * np.exp((z - ax) * (z + ax) + r_over_s)
-
-
-@_vectorized
-def erf(x) -> np.ndarray:
-    ax = np.abs(x)
-    out = np.sign(x)  # |x| >= 6 and propagates 0 for x == 0
-
-    m = ax < 2.0**-28
-    if m.any():
-        out[m] = x[m] + EFX * x[m]
-
-    m = (ax >= 2.0**-28) & (ax < 0.84375)
-    if m.any():
-        z = x[m] * x[m]
-        y = _poly(PP, z) / _poly(QQ, z)
-        out[m] = x[m] + x[m] * y
-
-    m = (ax >= 0.84375) & (ax < 1.25)
-    if m.any():
-        s = ax[m] - 1.0
-        out[m] = np.sign(x[m]) * (ERX + _poly(PA, s) / _poly(QA, s))
-
-    m = (ax >= 1.25) & (ax < 6.0)
-    if m.any():
-        a = ax[m]
-        s = 1.0 / (a * a)
-        lo = a < 1.0 / 0.35
-        rs = np.empty_like(a)
-        if lo.any():
-            rs[lo] = _poly(RA, s[lo]) / _poly(SA, s[lo])
-        if (~lo).any():
-            rs[~lo] = _poly(RB, s[~lo]) / _poly(SB, s[~lo])
-        out[m] = np.sign(x[m]) * (1.0 - _tail_factor(a, rs) / a)
-
-    m = np.isnan(x)
-    if m.any():
-        out[m] = np.nan
-    return out
 
 
 @_vectorized

@@ -15,8 +15,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .core import kurtosis, profile_series
 from .detector import DetectionConfig, detect
@@ -151,7 +149,7 @@ def _cmd_detect(args) -> int:
         seed=args.seed,
         input_path=args.input,
     )
-    doc = dump_json(report_to_dict(report, manifest, series))
+    doc = dump_json(report_to_dict(report, manifest))
     if args.out is None:
         sys.stdout.write(doc)
     else:
@@ -228,8 +226,8 @@ def _cmd_stats(args) -> int:
     doc = {
         "manifest": manifest.to_dict(),
         "m": len(series),
-        "mean": float(np.mean(series.values)),
-        "sd": float(np.std(series.values)),
+        "mean": kurt.mean,
+        "sd": kurt.sd,
         "kurtosis_raw": kurt.raw,
         "kurtosis_excess": kurt.excess,
         "hc_max": profile.hc_max,

@@ -164,24 +164,27 @@ def _exact_contiguous(
     return cuts, float(best[k, n])
 
 
-def _silhouette_from_cuts(srt: np.ndarray, cuts: np.ndarray, k: int) -> float:
-    total = 0.0
-    clusters = [srt[cuts[j] : cuts[j + 1]] for j in range(k)]
+def _silhouette_of(clusters: list[np.ndarray]) -> float:
+    """Mean silhouette of a partition given as sorted, non-empty clusters.
+
+    a(i) is the mean intra-cluster distance excluding the point itself,
+    b(i) the smallest mean distance to another cluster; singletons
+    contribute 0. Exact, via per-cluster prefix sums.
+    """
     prefs = [np.concatenate(([0.0], np.cumsum(c))) for c in clusters]
-    for j in range(k):
-        cl = clusters[j]
+    total = 0.0
+    for j, cl in enumerate(clusters):
         n = cl.size
         if n == 1:
-            continue  # singleton contributes 0
+            continue
         r = np.arange(1, n + 1)
         s = prefs[j]
         intra = (r * cl - s[1:]) + ((s[n] - s[1:]) - (n - r) * cl)
         a = intra / (n - 1)
         b = np.full(n, np.inf)
-        for h in range(k):
+        for h, other in enumerate(clusters):
             if h == j:
                 continue
-            other = clusters[h]
             so = prefs[h]
             no = other.size
             q = np.searchsorted(other, cl)
@@ -191,7 +194,7 @@ def _silhouette_from_cuts(srt: np.ndarray, cuts: np.ndarray, k: int) -> float:
         with np.errstate(invalid="ignore"):
             scores = np.where(denom > 0.0, (b - a) / denom, 0.0)
         total += float(scores.sum())
-    return total / srt.size
+    return total / sum(c.size for c in clusters)
 
 
 def kmeans_1d(
@@ -235,7 +238,11 @@ def kmeans_1d(
     labels_sorted = np.repeat(np.arange(k), np.diff(cuts))
     assignment = np.empty(m, dtype=np.int64)
     assignment[order] = labels_sorted
-    sil = _silhouette_from_cuts(srt, cuts, k) if k >= 2 else None
+    sil = (
+        _silhouette_of([srt[cuts[j] : cuts[j + 1]] for j in range(k)])
+        if k >= 2
+        else None
+    )
     cent = cent.copy()
     cent.setflags(write=False)
     assignment.setflags(write=False)
@@ -250,12 +257,7 @@ def kmeans_1d(
 
 
 def silhouette(points, model: ClusterModel) -> float:
-    """Mean silhouette score of a fitted partition.
-
-    a(i) is the mean intra-cluster distance excluding the point itself,
-    b(i) the smallest mean distance to another cluster; singletons
-    contribute 0. Exact, via per-cluster prefix sums.
-    """
+    """Mean silhouette score of a fitted partition (see ``_silhouette_of``)."""
     if model.k < 2:
         raise UndefinedSilhouetteError("silhouette requires at least 2 clusters")
     arr = _check_points(points)
@@ -264,30 +266,7 @@ def silhouette(points, model: ClusterModel) -> float:
     clusters = [np.sort(arr[model.assignment == j]) for j in range(model.k)]
     if any(c.size == 0 for c in clusters):
         raise TooFewPointsError("model has an empty cluster")
-    prefs = [np.concatenate(([0.0], np.cumsum(c))) for c in clusters]
-    total = 0.0
-    for j, cl in enumerate(clusters):
-        n = cl.size
-        if n == 1:
-            continue
-        r = np.arange(1, n + 1)
-        s = prefs[j]
-        intra = (r * cl - s[1:]) + ((s[n] - s[1:]) - (n - r) * cl)
-        a = intra / (n - 1)
-        b = np.full(n, np.inf)
-        for h, other in enumerate(clusters):
-            if h == j:
-                continue
-            so = prefs[h]
-            no = other.size
-            q = np.searchsorted(other, cl)
-            d = (q * cl - so[q]) + ((so[no] - so[q]) - (no - q) * cl)
-            np.minimum(b, d / no, out=b)
-        denom = np.maximum(a, b)
-        with np.errstate(invalid="ignore"):
-            scores = np.where(denom > 0.0, (b - a) / denom, 0.0)
-        total += float(scores.sum())
-    return total / arr.size
+    return _silhouette_of(clusters)
 
 
 def best_model(

@@ -91,10 +91,14 @@ class PValueRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class KurtosisReport:
-    """Fourth standardized moment, raw and excess (raw - 3)."""
+    """Fourth standardized moment, raw and excess (raw - 3), plus the
+    compensated population mean and sd it standardized with (the same
+    values ``standardize`` removes)."""
 
     raw: float
     excess: float
+    mean: float
+    sd: float
 
 
 @dataclass(frozen=True)
@@ -215,7 +219,7 @@ def kurtosis(series: TimeSeries) -> KurtosisReport:
     if sd == 0.0:
         raise ZeroVarianceError("series is constant; kurtosis is undefined")
     raw = math.fsum(((x - mean) / sd) ** 4 for x in arr.tolist()) / arr.size
-    return KurtosisReport(raw=raw, excess=raw - 3.0)
+    return KurtosisReport(raw=raw, excess=raw - 3.0, mean=mean, sd=sd)
 
 
 def _rank_order(p: np.ndarray, z: np.ndarray) -> np.ndarray:

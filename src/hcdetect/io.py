@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -27,6 +28,7 @@ FORMATS = ("csv_single_column", "csv_time_value", "raw_f64_le")
 TOOL_NAME = "hcdetect"
 REPORT_SCHEMA = "hcdetect/report/v1"
 CURVE_SCHEMA = "hcdetect/curve/v1"
+_HASH_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,13 @@ def _parse_csv(text: str, column: int) -> np.ndarray:
 def ingest(spec: InputSpec, sample_rate_hz: float | None = None) -> TimeSeries:
     """Decode the input file into a validated series."""
     if spec.format == "raw_f64_le":
-        data = np.fromfile(spec.path, dtype="<f8").astype(np.float64)
+        with open(spec.path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size % 8:
+                raise ParseError(
+                    f"raw_f64_le input has {size} bytes, not a multiple of 8"
+                )
+            data = np.fromfile(fh, dtype="<f8").astype(np.float64, copy=False)
         bad = ~np.isfinite(data)
         if bad.any():
             idx = int(np.argmax(bad))
@@ -101,8 +109,11 @@ def write_raw_f64(path: Path | str, values: np.ndarray) -> None:
 
 
 def sha256_of(path: Path | str) -> str:
+    """Hex SHA-256 of a file, read in fixed-size chunks."""
     h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(_HASH_CHUNK_BYTES), b""):
+            h.update(chunk)
     return h.hexdigest()
 
 
@@ -153,16 +164,14 @@ def dump_json(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def report_to_dict(
-    report: DetectionReport, manifest: RunManifest, source: TimeSeries
-) -> dict:
+def report_to_dict(report: DetectionReport, manifest: RunManifest) -> dict:
     return {
         "schema": REPORT_SCHEMA,
         "manifest": manifest.to_dict(),
         "stats": {
             "m": report.m,
-            "mean": float(np.mean(source.values)),
-            "sd": float(np.std(source.values)),
+            "mean": report.kurtosis.mean,
+            "sd": report.kurtosis.sd,
             "kurtosis_raw": report.kurtosis.raw,
             "kurtosis_excess": report.kurtosis.excess,
         },

@@ -1,7 +1,52 @@
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from hcdetect import TimeSeries
+from hcdetect import TimeSeries, backend
+
+REPO = Path(__file__).resolve().parents[1]
+NO_COMPILER = "no C compiler on PATH to build src/hcdetect/_native.c"
+
+
+def _c_compiler() -> str | None:
+    """The compiler ``setup.py build_ext`` would call, if it is on PATH."""
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    argv = shlex.split(cc)
+    return shutil.which(argv[0]) if argv else None
+
+
+def pytest_report_header(config):
+    cc = _c_compiler()
+    agreement = f"runs on a kernel built with {cc}" if cc else f"skips: {NO_COMPILER}"
+    return [
+        f"hcdetect backend: {backend.backend_name()}",
+        f"backend agreement test: {agreement}",
+    ]
+
+
+@pytest.fixture(scope="session")
+def native_kernels(tmp_path_factory):
+    """The compiled kernels, built by ``setup.py build_ext`` into a tmp dir
+    and loaded the way ``hcdetect.backend`` loads an installed build."""
+    if _c_compiler() is None:
+        pytest.skip(NO_COMPILER)
+    tmp = tmp_path_factory.mktemp("native")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(tmp / "lib"), "--build-temp", str(tmp / "tmp")],
+        cwd=REPO, capture_output=True, text=True,
+    )
+    built = sorted((tmp / "lib" / "hcdetect").glob("_native.*"))
+    if proc.returncode != 0 or not built:
+        pytest.fail(f"building _native.c failed:\n{proc.stdout}{proc.stderr}")
+    return backend.load_native(built[0])
 
 
 def inject_spikes(

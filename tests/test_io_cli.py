@@ -1,12 +1,15 @@
 """Ingestion formats, artifact schemas, manifests, CLI behavior."""
 
+import hashlib
 import json
+import math
 
 import jsonschema
 import numpy as np
 import pytest
 
 from conftest import inject_spikes, spaced_locations
+from hcdetect import TimeSeries, standardize
 from hcdetect.cli import main
 from hcdetect.errors import NonFiniteError, ParseError
 from hcdetect.io import (
@@ -14,6 +17,7 @@ from hcdetect.io import (
     csv_payload,
     ingest,
     json_payload,
+    sha256_of,
     write_raw_f64,
 )
 
@@ -64,6 +68,12 @@ class TestIngest:
         write_raw_f64(path, values)
         series = ingest(InputSpec(path=path, format="raw_f64_le"))
         np.testing.assert_array_equal(series.values, values)
+
+    def test_raw_size_not_multiple_of_8_is_parse_error(self, tmp_path):
+        path = tmp_path / "x.bin"
+        path.write_bytes(np.arange(1000.0).astype("<f8").tobytes() + b"\x01\x02\x03")
+        with pytest.raises(ParseError, match="8003 bytes"):
+            ingest(InputSpec(path=path, format="raw_f64_le"))
 
     def test_nan_names_the_row(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -249,8 +259,43 @@ class TestCliStats:
         path.write_text("".join("1.5\n" for _ in range(50)))
         assert main(["stats", "--input", str(path)]) == 2
 
+    def test_truncated_raw_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "x.bin"
+        write_raw_f64(path, np.random.default_rng(4).standard_normal(1000))
+        with open(path, "ab") as fh:
+            fh.write(b"\x01\x02\x03")
+        code = main(["stats", "--input", str(path), "--format", "raw_f64_le"])
+        assert code == 2
+        assert "multiple of 8" in capsys.readouterr().err
+
+    def test_mean_sd_are_the_compensated_moments(self, tmp_path, capsys):
+        # with this seed np.mean and np.std both differ from the
+        # compensated moments in the last bits
+        x = np.random.default_rng(10).standard_normal(100_000) * 3.0 + 1e4
+        path = tmp_path / "x.bin"
+        write_raw_f64(path, x)
+        std = standardize(TimeSeries(values=x))
+        assert std.source_mean == math.fsum(x) / x.size
+        moments = (std.source_mean, std.source_sd)
+
+        argv = ["--input", str(path), "--format", "raw_f64_le"]
+        assert main(["stats"] + argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["mean"], doc["sd"]) == moments
+
+        out = tmp_path / "report.json"
+        assert main(["detect"] + argv + ["--out", str(out)]) == 0
+        stats = json.loads(out.read_text())["stats"]
+        assert (stats["mean"], stats["sd"]) == moments
+
 
 class TestManifest:
+    @pytest.mark.parametrize("size", [0, 5, 3 * (1 << 20) + 5])
+    def test_sha256_matches_whole_file_digest(self, tmp_path, size):
+        path = tmp_path / "x.bin"
+        path.write_bytes(np.random.default_rng(size).bytes(size))
+        assert sha256_of(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_embedded_in_report_and_rerun_reproduces_payload(self, tmp_path):
         path, _ = _write_spiked_csv(tmp_path, m=20_000, count=3)
         out1 = tmp_path / "r1.json"

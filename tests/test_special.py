@@ -21,14 +21,6 @@ def quadrature_two_sided(x: float) -> float:
     return 2.0 * tail
 
 
-def test_erf_matches_scipy_to_1e12_on_working_range():
-    x = np.linspace(-6, 6, 40001)
-    mine = backend.erf(x)
-    ref = scipy.special.erf(x)
-    rel = np.abs(mine - ref) / np.maximum(np.abs(ref), 1e-300)
-    assert rel.max() < 1e-12
-
-
 def test_erfc_matches_scipy_through_moderate_tail():
     x = np.linspace(0.0, 12.0, 20001)
     mine = backend.erfc(x)
@@ -80,15 +72,11 @@ def test_two_sided_p_monotone_non_increasing():
     assert p.max() <= P_CEIL
 
 
-def test_backends_agree():
-    if backend.backend_name() != "native":
-        pytest.skip("compiled backend not built")
-    from hcdetect import _native as native
-
+def test_backends_agree(native_kernels):
     x = np.linspace(-30, 30, 100001)
-    for fn in ("erf", "erfc", "two_sided_p", "gaussian_tail_prob"):
+    for fn in ("erfc", "two_sided_p", "gaussian_tail_prob"):
         a = np.asarray(getattr(pure, fn)(x))
-        b = np.asarray(getattr(native, fn)(x))
+        b = np.asarray(getattr(native_kernels, fn)(x))
         rel = np.abs(a - b) / np.maximum(np.abs(a), 1e-280)
         # numpy's vectorized exp and libm exp differ by <= 1 ulp, which
         # compounds to ~|log p| * 2**-53 relative in the deep tail; the
@@ -98,6 +86,14 @@ def test_backends_agree():
         assert rel[near].max() < 1e-13, fn
     p = np.linspace(1e-15, 1 - 1e-15, 100001)
     a = np.asarray(pure.ndtri(p))
-    b = np.asarray(native.ndtri(p))
+    b = np.asarray(native_kernels.ndtri(p))
     rel = np.abs(a - b) / np.maximum(np.abs(a), 1e-8)
     assert rel.max() < 1e-13
+    # clamps, saturation and NaN give exact values on both backends
+    edges = np.array([0.0, -0.0, 1e-300, 1e-17, 40.0, -40.0, np.inf, np.nan])
+    for fn in ("erfc", "two_sided_p", "gaussian_tail_prob"):
+        np.testing.assert_array_equal(
+            getattr(native_kernels, fn)(edges), getattr(pure, fn)(edges), fn
+        )
+    edges = np.array([0.0, 0.5, 1.0, np.nan])
+    np.testing.assert_array_equal(native_kernels.ndtri(edges), pure.ndtri(edges))
