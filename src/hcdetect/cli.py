@@ -5,13 +5,17 @@ CSVs), ``simulate-mean`` / ``simulate-sparse`` (boundary curves -> CSV +
 JSON trace), and ``stats`` (summary quantities to stdout).
 
 Exit codes: 0 success, 2 validation error (bad parameters or degenerate
-input), 1 runtime error (I/O and everything else).
+input), 1 runtime error (I/O and everything else). With
+``HCDETECT_DEBUG=1`` in the environment, an unexpected error also prints
+its traceback to stderr, ahead of the one-line message.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import traceback
 from dataclasses import asdict
 from pathlib import Path
 
@@ -255,7 +259,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"hcdetect: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - unexpected failures
+    except Exception as exc:
+        if os.environ.get("HCDETECT_DEBUG") == "1":
+            traceback.print_exc(file=sys.stderr)
         print(f"hcdetect: internal error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,14 +7,20 @@ programming over contiguous partitions, which guarantees the global
 optimum that restarted local search cannot; larger inputs use Lloyd's
 algorithm with D^2-weighted seeded initialization and a fixed number of
 independent restarts, implemented on the sorted values so each iteration
-is a handful of O(k log m) boundary updates. Contiguity also makes the
-silhouette score exactly computable in O(m k log m) with prefix sums
-instead of the quadratic pairwise form.
+is a handful of O(k log m) boundary updates. Seeding refreshes the D^2
+weights only inside each new centre's cell of the sorted values.
+Contiguity also makes the silhouette score exactly computable with prefix
+sums instead of the quadratic pairwise form: O(m k) when the clusters
+occupy disjoint ranges, as they do unless a cut splits tied values, and
+O(m k log m) otherwise.
+``best_model`` sorts the points once and fits every k on the sorted
+values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +33,12 @@ from .errors import (
 DEFAULT_RESTARTS = 10
 MAX_ITER = 300
 EXACT_SIZE_LIMIT = 512
+
+# Widening of a seeding cell beyond the rounded midpoints to its neighbours
+# (relative, plus an absolute floor for subnormal values); see
+# ``_init_centroids``.
+_CELL_MARGIN = 2.0**-40
+_CELL_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -63,23 +75,55 @@ def _check_points(points) -> np.ndarray:
     return arr
 
 
+def _cell_edge(srt: np.ndarray, a: float, b: float, side: str) -> int:
+    """Index in ``srt`` of the midpoint of centres a <= b, moved outward
+    (down for side="left", up for side="right") past its rounding error."""
+    mid = 0.5 * a + 0.5 * b
+    pad = _CELL_MARGIN * (abs(a) + abs(b)) + _CELL_FLOOR
+    edge = mid - pad if side == "left" else mid + pad
+    return int(np.searchsorted(srt, edge, side=side))
+
+
 def _init_centroids(
     srt: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
-    # D^2-weighted sampling (k-means++ style) on the sorted values.
+    # D^2-weighted sampling (k-means++ style) on the sorted values. A new
+    # centre lowers d2 only inside its cell, the slice of srt between the
+    # midpoints to its chosen neighbours, so only that slice of d2 and the
+    # running cumsum from its start are refreshed. The slice is widened
+    # past rounding: np.minimum over any superset of the cell gives the
+    # same d2, and seeding the refill with the unchanged running sum
+    # before the slice repeats the sequential cumsum bit for bit. The
+    # total stays a full pairwise sum.
+    m = srt.size
     cent = np.empty(k)
-    cent[0] = srt[rng.integers(srt.size)]
+    cent[0] = srt[rng.integers(m)]
+    chosen = [float(cent[0])]
     d2 = (srt - cent[0]) ** 2
+    cs = np.cumsum(d2)
     for j in range(1, k):
         total = d2.sum()
         if total > 0.0:
             target = rng.random() * total
-            pos = int(np.searchsorted(np.cumsum(d2), target))
-            pos = min(pos, srt.size - 1)
+            pos = int(np.searchsorted(cs, target))
+            pos = min(pos, m - 1)
         else:
-            pos = int(rng.integers(srt.size))
-        cent[j] = srt[pos]
-        np.minimum(d2, (srt - cent[j]) ** 2, out=d2)
+            pos = int(rng.integers(m))
+        c = float(srt[pos])
+        cent[j] = c
+        at = bisect.bisect_left(chosen, c)
+        lo = _cell_edge(srt, chosen[at - 1], c, "left") if at > 0 else 0
+        hi = _cell_edge(srt, c, chosen[at], "right") if at < len(chosen) else m
+        chosen.insert(at, c)
+        cell = d2[lo:hi]
+        np.minimum(cell, (srt[lo:hi] - c) ** 2, out=cell)
+        if lo == 0:
+            np.cumsum(d2, out=cs)
+        else:
+            keep = d2[lo - 1]
+            d2[lo - 1] = cs[lo - 1]
+            np.cumsum(d2[lo - 1 :], out=cs[lo - 1 :])
+            d2[lo - 1] = keep
     return np.sort(cent)
 
 
@@ -177,22 +221,37 @@ def _silhouette_of(clusters: list[np.ndarray]) -> float:
         n = cl.size
         if n == 1:
             continue
-        r = np.arange(1, n + 1)
+        # Float ranks give the same products as integer ones (exact below
+        # 2**53). In-place steps keep the temporaries few: on a spiky
+        # recording one cluster holds nearly every point, and its
+        # silhouette sets the peak memory of detect.
+        r = np.arange(1.0, n + 1.0)
         s = prefs[j]
-        intra = (r * cl - s[1:]) + ((s[n] - s[1:]) - (n - r) * cl)
-        a = intra / (n - 1)
+        a = (r * cl - s[1:]) + ((s[n] - s[1:]) - (n - r) * cl)
+        a /= n - 1
+        del r
         b = np.full(n, np.inf)
         for h, other in enumerate(clusters):
             if h == j:
                 continue
             so = prefs[h]
             no = other.size
-            q = np.searchsorted(other, cl)
-            d = (q * cl - so[q]) + ((so[no] - so[q]) - (no - q) * cl)
-            np.minimum(b, d / no, out=b)
+            # Disjoint ranges (every fit that cuts no run of tied values)
+            # put all of `other` on one side of `cl`: the general form
+            # below then reduces exactly, up to the sign of a zero, to one
+            # term.
+            if other[-1] < cl[0]:
+                d = no * cl - so[no]
+            elif other[0] >= cl[-1]:
+                d = so[no] - no * cl
+            else:
+                q = np.searchsorted(other, cl)
+                d = (q * cl - so[q]) + ((so[no] - so[q]) - (no - q) * cl)
+            d /= no
+            np.minimum(b, d, out=b)
         denom = np.maximum(a, b)
-        with np.errstate(invalid="ignore"):
-            scores = np.where(denom > 0.0, (b - a) / denom, 0.0)
+        b -= a  # the score numerator, in place
+        scores = np.divide(b, denom, out=np.zeros(n), where=denom > 0.0)
         total += float(scores.sum())
     return total / sum(c.size for c in clusters)
 
@@ -287,12 +346,20 @@ def best_model(
         raise TooFewPointsError(
             f"k_max={k_max} exceeds the number of points ({arr.size})"
         )
+    # Every fit depends on the points only through their stable sort, so
+    # sort once; kmeans_1d's own stable argsort of sorted input is then the
+    # identity and cheap. Map the winner's assignment back to caller order.
+    order = np.argsort(arr, kind="stable")
+    srt = arr[order]
     chosen: ClusterModel | None = None
     for k in range(k_min, k_max + 1):
-        model = kmeans_1d(arr, k, seed=seed, restarts=restarts)
+        model = kmeans_1d(srt, k, seed=seed, restarts=restarts)
         if chosen is None or model.silhouette > chosen.silhouette:
             chosen = model
-    return chosen
+    assignment = np.empty_like(chosen.assignment)
+    assignment[order] = chosen.assignment
+    assignment.setflags(write=False)
+    return replace(chosen, assignment=assignment)
 
 
 def select_k(points, k_min: int = 2, k_max: int = 10, seed: int = 0) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -131,10 +132,18 @@ class HCProfile:
         ]
 
 
+def _power_sum(values: np.ndarray, exponent: int) -> float:
+    # Builtin pow on Python floats is the libm pow that ``x ** exponent``
+    # calls, so every term matches the Python-float form bit for bit;
+    # numpy's power and square round some terms differently in the last
+    # bit, which can move the compensated sum.
+    return math.fsum(map(pow, values.tolist(), repeat(exponent)))
+
+
 def _population_moments(arr: np.ndarray) -> tuple[float, float]:
     m = arr.size
     mean = math.fsum(arr) / m
-    var = math.fsum((x - mean) ** 2 for x in arr.tolist()) / m
+    var = _power_sum(arr - mean, 2) / m
     return mean, math.sqrt(var)
 
 
@@ -218,7 +227,7 @@ def kurtosis(series: TimeSeries) -> KurtosisReport:
     mean, sd = _population_moments(arr)
     if sd == 0.0:
         raise ZeroVarianceError("series is constant; kurtosis is undefined")
-    raw = math.fsum(((x - mean) / sd) ** 4 for x in arr.tolist()) / arr.size
+    raw = _power_sum((arr - mean) / sd, 4) / arr.size
     return KurtosisReport(raw=raw, excess=raw - 3.0, mean=mean, sd=sd)
 
 

@@ -112,13 +112,14 @@ def localize(
     trigger_indices,
     window: int,
     m: int,
-    scores: Mapping[int, float] | None = None,
+    scores: Mapping[int, float] | np.ndarray | None = None,
 ) -> list[Segment]:
     """Expand each trigger to [i - window, i + window] clipped to the
     series, merging touching or overlapping intervals, sorted by start.
 
-    ``scores`` (HC by time index) picks each merged segment's peak; without
-    it the smallest trigger index is the peak and its value is NaN.
+    ``scores`` (HC by time index, a mapping or an array indexed by time)
+    picks each merged segment's peak; without it the smallest trigger
+    index is the peak and its value is NaN.
     """
     if window < 0:
         raise DomainError("window must be non-negative")
@@ -147,7 +148,10 @@ def localize(
 
 
 def _finish_segment(
-    start: int, end: int, group: list[int], scores: Mapping[int, float] | None
+    start: int,
+    end: int,
+    group: list[int],
+    scores: Mapping[int, float] | np.ndarray | None,
 ) -> Segment:
     if scores is None:
         peak = group[0]
@@ -212,7 +216,8 @@ def detect(series: TimeSeries, config: DetectionConfig | None = None) -> Detecti
 
     times = profile.original_indices[: profile.max_rank]
     hc = profile.hc_values[: profile.max_rank]
-    scores = {int(t): float(h) for t, h in zip(times, hc)}
+    scores = np.full(m, np.nan)
+    scores[times] = hc
 
     per_threshold = []
     for t in thresholds:

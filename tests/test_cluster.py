@@ -236,3 +236,134 @@ class TestThresholds:
         quarter = thresholds_from(model, points, factor=0.25)
         half = thresholds_from(model, points, factor=0.5)
         assert half.thresholds[0] == pytest.approx(quarter.thresholds[0] + 1.0)
+
+
+def full_recompute_init(srt: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """The D^2 seeding recomputed over all points for every new centre:
+    the oracle for the cell-local ``_init_centroids``."""
+    cent = np.empty(k)
+    cent[0] = srt[rng.integers(srt.size)]
+    d2 = (srt - cent[0]) ** 2
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            target = rng.random() * total
+            pos = int(np.searchsorted(np.cumsum(d2), target))
+            pos = min(pos, srt.size - 1)
+        else:
+            pos = int(rng.integers(srt.size))
+        cent[j] = srt[pos]
+        np.minimum(d2, (srt - cent[j]) ** 2, out=d2)
+    return np.sort(cent)
+
+
+def searchsorted_silhouette(clusters: list[np.ndarray]) -> float:
+    """The prefix-sum silhouette with a searchsorted for every cluster
+    pair: the oracle for the disjoint-range shortcuts of ``_silhouette_of``."""
+    prefs = [np.concatenate(([0.0], np.cumsum(c))) for c in clusters]
+    total = 0.0
+    for j, cl in enumerate(clusters):
+        n = cl.size
+        if n == 1:
+            continue
+        r = np.arange(1, n + 1)
+        s = prefs[j]
+        intra = (r * cl - s[1:]) + ((s[n] - s[1:]) - (n - r) * cl)
+        a = intra / (n - 1)
+        b = np.full(n, np.inf)
+        for h, other in enumerate(clusters):
+            if h == j:
+                continue
+            so = prefs[h]
+            no = other.size
+            q = np.searchsorted(other, cl)
+            d = (q * cl - so[q]) + ((so[no] - so[q]) - (no - q) * cl)
+            np.minimum(b, d / no, out=b)
+        denom = np.maximum(a, b)
+        with np.errstate(invalid="ignore"):
+            scores = np.where(denom > 0.0, (b - a) / denom, 0.0)
+        total += float(scores.sum())
+    return total / sum(c.size for c in clusters)
+
+
+def _seeding_inputs() -> dict[str, np.ndarray]:
+    from hcdetect.cluster import EXACT_SIZE_LIMIT
+    from hcdetect.core import TimeSeries, hc_profile, standardize
+
+    rng = np.random.default_rng(41)
+    spiky = rng.standard_normal(4000)
+    spiky[rng.choice(4000, 12, replace=False)] += 12.0
+    return {
+        "duplicate_heavy": np.repeat(rng.standard_normal(7), 150),
+        "all_equal": np.full(700, -2.5),
+        "negative": -np.abs(rng.standard_cauchy(900)) - 1e3,
+        "spike_hc": hc_profile(standardize(TimeSeries(spiky))).hc_values.copy(),
+        "just_above_exact_limit": rng.standard_normal(EXACT_SIZE_LIMIT + 1),
+    }
+
+
+class TestCellLocalSeeding:
+    @pytest.mark.parametrize("name", sorted(_seeding_inputs()))
+    def test_matches_full_recompute_bit_for_bit(self, name):
+        from hcdetect.cluster import _init_centroids
+
+        srt = np.sort(_seeding_inputs()[name])
+        for k in range(2, 11):
+            for seed in range(12):
+                got = _init_centroids(srt, k, np.random.default_rng((seed, k)))
+                want = full_recompute_init(
+                    srt, k, np.random.default_rng((seed, k))
+                )
+                assert np.array_equal(got, want), (name, k, seed)
+
+
+class TestSilhouetteShortcuts:
+    def test_even_split_of_tied_values_matches_searchsorted_form(self):
+        from hcdetect.cluster import EXACT_SIZE_LIMIT
+
+        # Three distinct values cannot fill five Lloyd clusters, so the
+        # fit falls back to an even contiguous split that cuts through runs
+        # of tied values, leaving neighbouring clusters touching.
+        points = np.repeat([1.0, 2.0, 4.0], EXACT_SIZE_LIMIT // 2)
+        np.random.default_rng(3).shuffle(points)
+        model = kmeans_1d(points, k=5, seed=0)
+        clusters = [np.sort(points[model.assignment == j]) for j in range(5)]
+        assert any(
+            lo[-1] == hi[0] for lo, hi in zip(clusters, clusters[1:])
+        )
+        assert model.silhouette == searchsorted_silhouette(clusters)
+        assert silhouette(points, model) == searchsorted_silhouette(clusters)
+
+    def test_overlapping_clusters_match_searchsorted_form(self):
+        from hcdetect.cluster import ClusterModel
+
+        rng = np.random.default_rng(17)
+        points = rng.standard_normal(300)
+        assignment = rng.integers(0, 4, points.size)
+        assignment[:4] = np.arange(4)
+        model = ClusterModel(
+            k=4,
+            centroids=np.zeros(4),
+            assignment=assignment,
+            inertia=0.0,
+            silhouette=None,
+            seed=0,
+        )
+        clusters = [np.sort(points[assignment == j]) for j in range(4)]
+        assert silhouette(points, model) == searchsorted_silhouette(clusters)
+
+
+class TestBestModelSortsOnce:
+    def test_assignment_in_caller_order_matches_direct_fit(self):
+        rng = np.random.default_rng(29)
+        points = np.round(
+            np.concatenate([rng.normal(c, 0.4, 300) for c in (0.0, 3.0, 9.0)]), 1
+        )
+        rng.shuffle(points)
+        best = best_model(points, 2, 6, seed=5)
+        direct = kmeans_1d(points, best.k, seed=5)
+        np.testing.assert_array_equal(best.assignment, direct.assignment)
+        np.testing.assert_array_equal(best.centroids, direct.centroids)
+        assert best.inertia == direct.inertia
+        assert best.silhouette == direct.silhouette
+        assert not best.assignment.flags.writeable

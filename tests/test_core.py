@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import inject_spikes, spaced_locations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from hcdetect import (
     standardize,
     tukey_hc,
 )
+from hcdetect import backend
 from hcdetect.core import P_FLOOR
 from hcdetect.errors import (
     DomainError,
@@ -24,6 +26,12 @@ from hcdetect.errors import (
     TooShortError,
     ZeroVarianceError,
 )
+
+def _criterion_4_input(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(100_000)
+    return inject_spikes(noise, spaced_locations(rng, 100_000, 10))
+
 
 finite_values = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -148,6 +156,26 @@ class TestKurtosis:
         with pytest.raises(ZeroVarianceError):
             kurtosis(TimeSeries(values=[2.0, 2.0, 2.0]))
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.random.default_rng(11).standard_normal(5000),
+            np.random.default_rng(12).standard_normal(5000) * 3.0 + 1e4,
+            np.random.default_rng(13).standard_normal(5000) * 1e-5 - 7.0,
+            # The spiky input of acceptance criterion 4 with seed 16, where
+            # numpy's ``** 4`` moves the kurtosis sum by one ulp.
+            _criterion_4_input(seed=16),
+        ],
+        ids=["unit", "offset", "tiny", "spiky"],
+    )
+    def test_moments_match_python_float_form_exactly(self, values):
+        m = values.size
+        mean = math.fsum(values) / m
+        sd = math.sqrt(math.fsum((x - mean) ** 2 for x in values.tolist()) / m)
+        raw = math.fsum(((x - mean) / sd) ** 4 for x in values.tolist()) / m
+        report = kurtosis(TimeSeries(values=values))
+        assert (report.mean, report.sd, report.raw) == (mean, sd, raw)
+
     @given(st.lists(finite_values, min_size=3, max_size=32).filter(
         lambda v: max(v) - min(v) > 1e-6
     ))
@@ -229,3 +257,13 @@ class TestTestStatistic:
         ]
         # the null-calibrated statistic hugs the threshold curve from below
         assert np.median(values) < asymptotic_threshold(5000)
+
+    def test_falls_back_to_full_maximum_without_p_above_one_over_m(self):
+        # Six of ten samples sit at the p-value floor, so no p among the
+        # ranks <= m/2 exceeds 1/m; the HC component peaks at rank 6, past
+        # the restricted range, and only the full maximum reaches it.
+        x = np.array([40.0] * 6 + [0.1, -0.2, 0.3, -0.4])
+        hc = hc_from_sorted_p(np.sort(backend.two_sided_p(x)))
+        assert int(np.argmax(hc)) == 5
+        assert hc_test_statistic(x) == float(hc.max())
+        assert hc_test_statistic(x) > hc[:5].max()

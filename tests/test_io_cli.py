@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import inject_spikes, spaced_locations
-from hcdetect import TimeSeries, standardize
+from hcdetect import TimeSeries, cli, standardize
 from hcdetect.cli import main
 from hcdetect.errors import NonFiniteError, ParseError
 from hcdetect.io import (
@@ -171,6 +171,28 @@ class TestCliDetect:
         code = main(["detect", "--input", str(path)])
         assert code == 2
         assert "constant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("debug", [None, "1"])
+    def test_unexpected_error_exits_1_with_traceback_only_in_debug(
+        self, tmp_path, capsys, monkeypatch, debug
+    ):
+        def boom(args):
+            raise RuntimeError("kaboom")
+
+        monkeypatch.setattr(cli, "_cmd_detect", boom)
+        if debug is None:
+            monkeypatch.delenv("HCDETECT_DEBUG", raising=False)
+        else:
+            monkeypatch.setenv("HCDETECT_DEBUG", debug)
+        code = main(["detect", "--input", str(tmp_path / "unused.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.endswith("hcdetect: internal error: kaboom\n")
+        if debug is None:
+            assert "Traceback" not in err
+        else:
+            assert err.startswith("Traceback (most recent call last):")
+            assert "RuntimeError: kaboom" in err
 
 
 class TestCliSimulate:
