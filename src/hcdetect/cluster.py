@@ -13,14 +13,15 @@ Contiguity also makes the silhouette score exactly computable with prefix
 sums instead of the quadratic pairwise form: O(m k) when the clusters
 occupy disjoint ranges, as they do unless a cut splits tied values, and
 O(m k log m) otherwise.
-``best_model`` sorts the points once and fits every k on the sorted
-values.
+``best_model`` sets up once (finiteness check, stable sort, prefix sums)
+and fits every k on the sorted values, the same fit ``kmeans_1d`` runs.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +68,15 @@ class ThresholdSet:
     cluster_ranges: tuple[tuple[float, float, float], ...]
 
 
+class _Fit(NamedTuple):
+    """A fit on sorted values: cluster j holds srt[cuts[j]:cuts[j+1]]."""
+
+    cuts: np.ndarray
+    centroids: np.ndarray
+    inertia: float
+    silhouette: float | None
+
+
 def _check_points(points) -> np.ndarray:
     arr = np.asarray(points, dtype=np.float64).reshape(-1)
     if not np.isfinite(arr).all():
@@ -85,8 +95,16 @@ def _cell_edge(srt: np.ndarray, a: float, b: float, side: str) -> int:
 
 
 def _init_centroids(
-    srt: np.ndarray, k: int, rng: np.random.Generator
+    srt: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
+    # ``work`` is a (3, m) array this overwrites; callers that seed one
+    # input many times pass the same one, so no seeding allocates (and
+    # page-faults in) full-length arrays of its own. np.square is what
+    # ``** 2`` computes, bit for bit.
+    #
     # D^2-weighted sampling (k-means++ style) on the sorted values. A new
     # centre lowers d2 only inside its cell, the slice of srt between the
     # midpoints to its chosen neighbours, so only that slice of d2 and the
@@ -96,11 +114,13 @@ def _init_centroids(
     # before the slice repeats the sequential cumsum bit for bit. The
     # total stays a full pairwise sum.
     m = srt.size
+    d2, cs, sq = np.empty((3, m)) if work is None else work
     cent = np.empty(k)
     cent[0] = srt[rng.integers(m)]
     chosen = [float(cent[0])]
-    d2 = (srt - cent[0]) ** 2
-    cs = np.cumsum(d2)
+    np.subtract(srt, cent[0], out=d2)
+    np.square(d2, out=d2)
+    np.cumsum(d2, out=cs)
     for j in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -115,8 +135,10 @@ def _init_centroids(
         lo = _cell_edge(srt, chosen[at - 1], c, "left") if at > 0 else 0
         hi = _cell_edge(srt, c, chosen[at], "right") if at < len(chosen) else m
         chosen.insert(at, c)
-        cell = d2[lo:hi]
-        np.minimum(cell, (srt[lo:hi] - c) ** 2, out=cell)
+        cell, sq_cell = d2[lo:hi], sq[lo:hi]
+        np.subtract(srt[lo:hi], c, out=sq_cell)
+        np.square(sq_cell, out=sq_cell)
+        np.minimum(cell, sq_cell, out=cell)
         if lo == 0:
             np.cumsum(d2, out=cs)
         else:
@@ -256,6 +278,72 @@ def _silhouette_of(clusters: list[np.ndarray]) -> float:
     return total / sum(c.size for c in clusters)
 
 
+def _sorted_setup(
+    arr: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stable sort order, sorted values and their prefix sums (of x, x^2)."""
+    order = np.argsort(arr, kind="stable")
+    srt = arr[order]
+    pref = np.concatenate(([0.0], np.cumsum(srt)))
+    pref2 = np.concatenate(([0.0], np.cumsum(srt * srt)))
+    return order, srt, pref, pref2
+
+
+def _fit_sorted(
+    srt: np.ndarray,
+    pref: np.ndarray,
+    pref2: np.ndarray,
+    k: int,
+    seed: int,
+    restarts: int,
+) -> _Fit:
+    """Fit k clusters on sorted values with their prefix sums: exact DP up
+    to ``EXACT_SIZE_LIMIT`` points, best-of-restarts Lloyd above, then the
+    silhouette (None for k = 1)."""
+    m = srt.size
+    if m <= EXACT_SIZE_LIMIT:
+        cuts, inertia = _exact_contiguous(pref, pref2, m, k)
+        cent = (pref[cuts[1:]] - pref[cuts[:-1]]) / np.diff(cuts)
+    else:
+        best: tuple[float, np.ndarray, np.ndarray] | None = None
+        work = np.empty((3, m))
+        for r in range(restarts):
+            rng = np.random.default_rng((seed, r))
+            cent0 = _init_centroids(srt, k, rng, work)
+            cuts, cent, inertia = _lloyd(srt, pref, pref2, cent0.copy(), k)
+            if best is None or inertia < best[0]:
+                best = (inertia, cuts, cent)
+        del work  # the silhouette below sets the peak memory of detect
+        inertia, cuts, cent = best
+
+    inertia = max(inertia, 0.0)  # guard tiny negative cancellation residue
+    sil = (
+        _silhouette_of([srt[cuts[j] : cuts[j + 1]] for j in range(k)])
+        if k >= 2
+        else None
+    )
+    return _Fit(cuts, cent, inertia, sil)
+
+
+def _model(order: np.ndarray, fit: _Fit, seed: int) -> ClusterModel:
+    """The ClusterModel of a fit, its labels scattered back through the
+    sort ``order`` to caller order."""
+    k = fit.centroids.size
+    assignment = np.empty(order.size, dtype=np.int64)
+    assignment[order] = np.repeat(np.arange(k), np.diff(fit.cuts))
+    cent = fit.centroids.copy()
+    cent.setflags(write=False)
+    assignment.setflags(write=False)
+    return ClusterModel(
+        k=k,
+        centroids=cent,
+        assignment=assignment,
+        inertia=fit.inertia,
+        silhouette=fit.silhouette,
+        seed=seed,
+    )
+
+
 def kmeans_1d(
     points,
     k: int,
@@ -274,45 +362,8 @@ def kmeans_1d(
         raise TooFewPointsError("k must be at least 1")
     if m < k:
         raise TooFewPointsError(f"{m} points cannot form {k} clusters")
-
-    order = np.argsort(arr, kind="stable")
-    srt = arr[order]
-    pref = np.concatenate(([0.0], np.cumsum(srt)))
-    pref2 = np.concatenate(([0.0], np.cumsum(srt * srt)))
-
-    if m <= EXACT_SIZE_LIMIT:
-        cuts, inertia = _exact_contiguous(pref, pref2, m, k)
-        cent = (pref[cuts[1:]] - pref[cuts[:-1]]) / np.diff(cuts)
-    else:
-        best: tuple[float, np.ndarray, np.ndarray] | None = None
-        for r in range(restarts):
-            rng = np.random.default_rng((seed, r))
-            cent0 = _init_centroids(srt, k, rng)
-            cuts, cent, inertia = _lloyd(srt, pref, pref2, cent0.copy(), k)
-            if best is None or inertia < best[0]:
-                best = (inertia, cuts, cent)
-        inertia, cuts, cent = best
-
-    inertia = max(inertia, 0.0)  # guard tiny negative cancellation residue
-    labels_sorted = np.repeat(np.arange(k), np.diff(cuts))
-    assignment = np.empty(m, dtype=np.int64)
-    assignment[order] = labels_sorted
-    sil = (
-        _silhouette_of([srt[cuts[j] : cuts[j + 1]] for j in range(k)])
-        if k >= 2
-        else None
-    )
-    cent = cent.copy()
-    cent.setflags(write=False)
-    assignment.setflags(write=False)
-    return ClusterModel(
-        k=k,
-        centroids=cent,
-        assignment=assignment,
-        inertia=inertia,
-        silhouette=sil,
-        seed=seed,
-    )
+    order, srt, pref, pref2 = _sorted_setup(arr)
+    return _model(order, _fit_sorted(srt, pref, pref2, k, seed, restarts), seed)
 
 
 def silhouette(points, model: ClusterModel) -> float:
@@ -346,20 +397,16 @@ def best_model(
         raise TooFewPointsError(
             f"k_max={k_max} exceeds the number of points ({arr.size})"
         )
-    # Every fit depends on the points only through their stable sort, so
-    # sort once; kmeans_1d's own stable argsort of sorted input is then the
-    # identity and cheap. Map the winner's assignment back to caller order.
-    order = np.argsort(arr, kind="stable")
-    srt = arr[order]
-    chosen: ClusterModel | None = None
+    # Every fit depends on the points only through their stable sort and
+    # its prefix sums, so set those up once; scatter only the winner's
+    # labels back to caller order.
+    order, srt, pref, pref2 = _sorted_setup(arr)
+    chosen: _Fit | None = None
     for k in range(k_min, k_max + 1):
-        model = kmeans_1d(srt, k, seed=seed, restarts=restarts)
-        if chosen is None or model.silhouette > chosen.silhouette:
-            chosen = model
-    assignment = np.empty_like(chosen.assignment)
-    assignment[order] = chosen.assignment
-    assignment.setflags(write=False)
-    return replace(chosen, assignment=assignment)
+        fit = _fit_sorted(srt, pref, pref2, k, seed, restarts)
+        if chosen is None or fit.silhouette > chosen.silhouette:
+            chosen = fit
+    return _model(order, chosen, seed)
 
 
 def select_k(points, k_min: int = 2, k_max: int = 10, seed: int = 0) -> int:

@@ -221,14 +221,20 @@ def tukey_hc(m: int, alpha: float, fraction: float) -> float:
     return math.sqrt(m) * (fraction - alpha) / math.sqrt(alpha * (1.0 - alpha))
 
 
+def _kurtosis_of(z: np.ndarray, mean: float, sd: float) -> KurtosisReport:
+    # z is (values - mean) / sd, as ``standardize`` returns it, so callers
+    # that hold a StandardizedSeries skip a second pass over the moments.
+    raw = _power_sum(z, 4) / z.size
+    return KurtosisReport(raw=raw, excess=raw - 3.0, mean=mean, sd=sd)
+
+
 def kurtosis(series: TimeSeries) -> KurtosisReport:
     """Population fourth standardized moment; excess subtracts 3 exactly."""
     arr = series.values
     mean, sd = _population_moments(arr)
     if sd == 0.0:
         raise ZeroVarianceError("series is constant; kurtosis is undefined")
-    raw = _power_sum((arr - mean) / sd, 4) / arr.size
-    return KurtosisReport(raw=raw, excess=raw - 3.0, mean=mean, sd=sd)
+    return _kurtosis_of((arr - mean) / sd, mean, sd)
 
 
 def _rank_order(p: np.ndarray, z: np.ndarray) -> np.ndarray:

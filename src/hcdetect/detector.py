@@ -20,8 +20,9 @@ from .core import (
     MIN_LENGTH,
     KurtosisReport,
     TimeSeries,
+    _kurtosis_of,
     hc_profile,
-    kurtosis,
+    kurtosis,  # noqa: F401  (perfbench/spans.py wraps it under this name)
     standardize,
 )
 from .errors import DomainError, IndexOutOfRangeError, NoClustersError
@@ -207,7 +208,12 @@ def detect(series: TimeSeries, config: DetectionConfig | None = None) -> Detecti
         )
     std = standardize(series)
     profile = hc_profile(std, config.restricted_rank_range)
-    kurt = kurtosis(series)
+    if profile.max_rank < config.k_max:
+        raise NoClustersError(
+            f"{profile.max_rank} HC values to cluster (ranks <= m/2 of"
+            f" m={m}) cannot support k_max={config.k_max} clusters"
+        )
+    kurt = _kurtosis_of(std.values, std.source_mean, std.source_sd)
 
     points = profile.hc_values[: profile.max_rank]
     model = best_model(points, config.k_min, config.k_max, seed=config.seed)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, asdict
 from datetime import datetime, timezone
@@ -54,7 +55,9 @@ def _parse_csv(text: str, column: int) -> np.ndarray:
         line = raw.strip()
         if not line:
             continue
-        cells = [c.strip() for c in line.split(",")]
+        # float() ignores surrounding whitespace itself, so only the
+        # messages strip the chosen cell.
+        cells = line.split(",")
         if column >= len(cells):
             raise ParseError(
                 f"line {lineno}: expected at least {column + 1} columns,"
@@ -69,12 +72,13 @@ def _parse_csv(text: str, column: int) -> np.ndarray:
                 first_data_line = False
                 continue
             raise ParseError(
-                f"line {lineno}: cannot parse {cells[column]!r} as a number",
+                f"line {lineno}: cannot parse {cells[column].strip()!r} as a number",
                 line=lineno,
             ) from None
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise NonFiniteError(
-                f"line {lineno}: non-finite value {cells[column]!r}", index=lineno
+                f"line {lineno}: non-finite value {cells[column].strip()!r}",
+                index=lineno,
             )
         values.append(value)
         first_data_line = False
@@ -252,9 +256,23 @@ def write_curve_csv(path: Path | str, curve: BoundaryCurve, manifest: RunManifes
 
 
 def write_masked_csv(path: Path | str, masked: TimeSeries, manifest: RunManifest) -> None:
-    lines = [_manifest_comment(manifest), "value\n"]
-    lines.extend(fmt17(v) + "\n" for v in masked.values)
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    """Manifest comment lines, a ``value`` header, then one row per sample.
+
+    Every sample is written as ``fmt17`` would write it. Only the samples
+    that are not +0.0 (``-0.0`` prints as ``-0``) go through ``fmt17``;
+    each run of +0.0 between them, nearly all of a masked series, is
+    written as one block of ``"0"`` rows.
+    """
+    v = masked.values
+    keep = np.flatnonzero((v != 0.0) | np.signbit(v))
+    parts = [_manifest_comment(manifest), "value\n"]
+    prev = 0
+    for i, x in zip(keep.tolist(), v[keep].tolist()):
+        parts.append("0\n" * (i - prev))
+        parts.append(fmt17(x) + "\n")
+        prev = i + 1
+    parts.append("0\n" * (v.size - prev))
+    Path(path).write_text("".join(parts), encoding="utf-8")
 
 
 def csv_payload(path: Path | str) -> bytes:

@@ -353,6 +353,50 @@ class TestSilhouetteShortcuts:
         assert silhouette(points, model) == searchsorted_silhouette(clusters)
 
 
+def kmeans_loop_best(points, k_min, k_max, seed):
+    """``best_model`` as a loop of ``kmeans_1d`` calls keeping the first
+    silhouette maximizer: the oracle for its one shared set-up."""
+    chosen = None
+    for k in range(k_min, k_max + 1):
+        model = kmeans_1d(points, k, seed=seed)
+        if chosen is None or model.silhouette > chosen.silhouette:
+            chosen = model
+    return chosen
+
+
+def _best_model_inputs():
+    from hcdetect.cluster import EXACT_SIZE_LIMIT
+
+    rng = np.random.default_rng(53)
+    out = {}
+    for m in (EXACT_SIZE_LIMIT, EXACT_SIZE_LIMIT + 1):
+        groups = np.concatenate(
+            [rng.normal(c, 0.5, m // 4) for c in (0.0, 2.0, 5.0, 11.0)]
+        )
+        groups = np.concatenate([groups, rng.normal(20.0, 1.0, m - groups.size)])
+        out[f"groups_{m}"] = rng.permutation(groups)
+        out[f"tied_{m}"] = rng.permutation(np.round(rng.standard_normal(m), 1))
+        out[f"cauchy_{m}"] = rng.standard_cauchy(m)
+    return out
+
+
+class TestBestModelSetsUpOnce:
+    @pytest.mark.parametrize("name", sorted(_best_model_inputs()))
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_loop_of_kmeans_1d(self, name, seed):
+        points = _best_model_inputs()[name]
+        got = best_model(points, 2, 10, seed=seed)
+        want = kmeans_loop_best(points, 2, 10, seed)
+        assert got.k == want.k
+        assert np.array_equal(got.centroids, want.centroids)
+        assert got.inertia == want.inertia
+        assert got.silhouette == want.silhouette
+        assert np.array_equal(got.assignment, want.assignment)
+        assert got.seed == want.seed
+        assert not got.assignment.flags.writeable
+        assert not got.centroids.flags.writeable
+
+
 class TestBestModelSortsOnce:
     def test_assignment_in_caller_order_matches_direct_fit(self):
         rng = np.random.default_rng(29)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import inject_spikes, spaced_locations
-from hcdetect import DetectionConfig, TimeSeries, detect, localize, mask
+from hcdetect import DetectionConfig, TimeSeries, detect, kurtosis, localize, mask
 from hcdetect.detector import Segment
 from hcdetect.errors import IndexOutOfRangeError, NoClustersError
 
@@ -165,6 +165,26 @@ class TestDetect:
     def test_too_short_for_clusters(self):
         with pytest.raises(NoClustersError):
             detect(TimeSeries(values=[1.0, 2.0, 3.0, 4.0]))
+
+    def test_restricted_ranks_guard_counts_the_clustered_points(self):
+        # 12 samples pass the length guard for k_max = 10, but the
+        # restricted variant clusters only the 6 lowest ranks.
+        series = TimeSeries(values=np.arange(12.0) ** 2)
+        assert detect(series).cluster_summary.k >= 2
+        config = DetectionConfig(restricted_rank_range=True)
+        with pytest.raises(NoClustersError, match=r"^6 HC values.*k_max=10"):
+            detect(series, config)
+        assert detect(series, DetectionConfig(k_max=6, restricted_rank_range=True))
+
+    @pytest.mark.parametrize(
+        "seed,scale,offset", [(16, 1.0, 0.0), (3, 3.0, 1e4), (5, 1e-5, -7.0)]
+    )
+    def test_kurtosis_equals_kurtosis_of_the_series(self, seed, scale, offset):
+        # seed 16 is the criterion-4 input whose kurtosis numpy's ``** 4``
+        # moved by one ulp
+        series, _ = self._spiked_series(seed=seed)
+        series = TimeSeries(values=series.values * scale + offset)
+        assert detect(series).kurtosis == kurtosis(series)
 
     def test_determinism(self):
         series, _ = self._spiked_series(seed=21, m=20_000, count=3)

@@ -9,17 +9,66 @@ import numpy as np
 import pytest
 
 from conftest import inject_spikes, spaced_locations
-from hcdetect import TimeSeries, cli, standardize
+from hcdetect import TimeSeries, cli, kurtosis, mask, standardize
 from hcdetect.cli import main
+from hcdetect.detector import Segment
 from hcdetect.errors import NonFiniteError, ParseError
 from hcdetect.io import (
     InputSpec,
+    RunManifest,
+    _manifest_comment,
+    _parse_csv,
     csv_payload,
+    fmt17,
     ingest,
     json_payload,
     sha256_of,
+    write_masked_csv,
     write_raw_f64,
 )
+
+
+def strip_every_cell_parse(text: str, column: int) -> np.ndarray:
+    """The CSV parser that strips every cell and checks finiteness with
+    numpy: the oracle for ``_parse_csv``, values and errors alike."""
+    values = []
+    first_data_line = True
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        if column >= len(cells):
+            raise ParseError(
+                f"line {lineno}: expected at least {column + 1} columns,"
+                f" found {len(cells)}",
+                line=lineno,
+            )
+        try:
+            value = float(cells[column])
+        except ValueError:
+            if first_data_line:
+                first_data_line = False
+                continue
+            raise ParseError(
+                f"line {lineno}: cannot parse {cells[column]!r} as a number",
+                line=lineno,
+            ) from None
+        if not np.isfinite(value):
+            raise NonFiniteError(
+                f"line {lineno}: non-finite value {cells[column]!r}", index=lineno
+            )
+        values.append(value)
+        first_data_line = False
+    return np.asarray(values, dtype=np.float64)
+
+
+def per_sample_masked_csv(path, masked: TimeSeries, manifest) -> None:
+    """The masked-CSV writer that formats every sample: the oracle for
+    ``write_masked_csv``."""
+    lines = [_manifest_comment(manifest), "value\n"]
+    lines.extend(fmt17(v) + "\n" for v in masked.values)
+    path.write_text("".join(lines), encoding="utf-8")
 
 def _schema(name):
     import hcdetect
@@ -96,6 +145,101 @@ class TestIngest:
             ingest(InputSpec(path=path, channel=2))
 
 
+def _outcome(parse, text, column):
+    try:
+        return ("ok", parse(text, column).tobytes())
+    except (ParseError, NonFiniteError) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "line", None),
+                getattr(exc, "index", None))
+
+
+class TestParseCsvMatchesStripEveryCell:
+    @pytest.mark.parametrize(
+        "text,column",
+        [
+            (" 1.5 , 2.5 \n\t3.5,\t4.5\t\n 5 ,6\n", 0),
+            (" 1.5 , 2.5 \n\t3.5,\t4.5\t\n 5 ,6\n", 1),
+            ("time , value\n0, 1e4\n1 ,-2.5e-3 \n\n2,  7\n", 1),
+            ("value\n1\n2\n", 0),
+            ("x\ny\n1\n", 0),
+            ("1.0\n bad \n3.0\n", 0),
+            ("bad\n2.0\n3.0\n", 0),
+            ("1.0, nan \n2.0,3.0\n", 1),
+            ("1.0\n inf\n", 0),
+            ("1.0\n2.0\n-Infinity \n", 0),
+            ("header\n NaN\n", 0),
+            ("1,2\n3\n", 1),
+            ("1,2,3\n4,5\n", 2),
+            (" 1_000 ,\u20032\u2003\n3,4\n", 1),
+            ("1,\n2,3\n", 1),
+        ],
+    )
+    def test_values_and_errors_match(self, text, column):
+        assert _outcome(_parse_csv, text, column) == _outcome(
+            strip_every_cell_parse, text, column
+        )
+
+    def test_header_then_bad_second_line_names_line_2(self):
+        with pytest.raises(ParseError) as err:
+            _parse_csv("t,v\n0, oops \n", 1)
+        assert err.value.line == 2
+        assert "'oops'" in str(err.value)
+
+    def test_bad_first_line_is_the_header(self):
+        np.testing.assert_array_equal(_parse_csv(" oops \n1\n2\n", 0), [1.0, 2.0])
+
+    def test_non_finite_index_is_the_line(self):
+        with pytest.raises(NonFiniteError) as err:
+            _parse_csv("v\n1\n -inf \n", 0)
+        assert err.value.index == 3
+        assert "'-inf'" in str(err.value)
+
+    def test_too_few_columns(self):
+        with pytest.raises(ParseError) as err:
+            _parse_csv("1,2\n3\n", 1)
+        assert err.value.line == 2
+        assert "expected at least 2 columns, found 1" in str(err.value)
+
+
+def _masked(values, spans):
+    series = TimeSeries(values=values)
+    segments = [Segment(start=a, end=b, peak_index=a, peak_hc=0.0) for a, b in spans]
+    return mask(series, segments)
+
+
+class TestMaskedCsvMatchesPerSampleWriter:
+    @pytest.mark.parametrize(
+        "spans",
+        [
+            [],
+            [(0, 12)],
+            [(480, 499)],
+            [(0, 0), (499, 499)],
+            [(100, 150), (151, 200)],
+            [(0, 499)],
+            [(3, 40), (41, 41), (300, 420)],
+        ],
+        ids=["none", "head", "tail", "single_ends", "adjacent", "all", "mixed"],
+    )
+    def test_bytes_match(self, tmp_path, spans):
+        values = np.random.default_rng(len(spans)).standard_normal(500) * 1e3
+        # signed zeros, the smallest subnormal and the most negative double,
+        # inside the segments of most cases and at both ends of the series
+        for i, v in zip(
+            (0, 3, 40, 41, 150, 151, 499),
+            (-0.0, 0.0, 5e-324, -1.7976931348623157e308, -0.0, 0.0, -0.0),
+        ):
+            values[i] = v
+        masked = _masked(values, spans)
+        manifest = RunManifest.create("detect", {"window": 50}, 0)
+        write_masked_csv(tmp_path / "got.csv", masked, manifest)
+        per_sample_masked_csv(tmp_path / "want.csv", masked, manifest)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        if spans and spans[0][0] == 0:
+            assert csv_payload(tmp_path / "got.csv").splitlines()[1] == b"-0"
+
+
 def _write_spiked_csv(tmp_path, seed=42, m=100_000, count=10):
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(m)
@@ -159,6 +303,14 @@ class TestCliDetect:
             for seg in doc["thresholds"][0]["segments"]
         )
         assert np.count_nonzero(values) <= covered
+
+    def test_restricted_ranks_too_few_points_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("".join(f"{v!r}\n" for v in (np.arange(12.0) ** 2).tolist()))
+        code = main(["detect", "--input", str(path), "--restricted-ranks"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "k_max=10" in err and "6 HC values" in err
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code = main(["detect", "--input", str(tmp_path / "absent.csv")])
@@ -309,6 +461,17 @@ class TestCliStats:
         assert main(["detect"] + argv + ["--out", str(out)]) == 0
         stats = json.loads(out.read_text())["stats"]
         assert (stats["mean"], stats["sd"]) == moments
+
+    def test_kurtosis_fields_equal_kurtosis_of_the_series(self, tmp_path, capsys):
+        x = np.random.default_rng(16).standard_normal(50_000) * 3.0 + 1e4
+        path = tmp_path / "x.bin"
+        write_raw_f64(path, x)
+        report = kurtosis(TimeSeries(values=x))
+        assert main(["stats", "--input", str(path), "--format", "raw_f64_le"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["mean"], doc["sd"], doc["kurtosis_raw"], doc["kurtosis_excess"]) == (
+            report.mean, report.sd, report.raw, report.excess
+        )
 
 
 class TestManifest:
