@@ -177,19 +177,23 @@ def _sim_config(args) -> SimConfig:
     )
 
 
-def _write_curve(args, curve, command: str, extra_config: dict) -> int:
-    config = {
-        "replicates": args.replicates,
-        "m_grid": list(_parse_m_grid(args.m_grid)),
-        "aggregator": args.aggregator,
-        "scheme": args.scheme,
-        "hysteresis": args.hysteresis,
+def _write_curve(
+    out: str, config: SimConfig, curve, command: str, extra_config: dict
+) -> int:
+    manifest_config = {
+        "replicates": config.replicates,
+        "m_grid": list(config.m_grid),
+        "aggregator": config.aggregator,
+        "scheme": config.scheme,
+        "hysteresis": config.hysteresis,
         **extra_config,
     }
-    manifest = RunManifest.create(command=command, config=config, seed=args.seed)
-    out = Path(args.out)
-    write_curve_csv(out, curve, manifest)
-    out.with_suffix(".json").write_text(
+    manifest = RunManifest.create(
+        command=command, config=manifest_config, seed=config.seed
+    )
+    path = Path(out)
+    write_curve_csv(path, curve, manifest)
+    path.with_suffix(".json").write_text(
         dump_json(curve_to_dict(curve, manifest)), encoding="utf-8"
     )
     return 0
@@ -197,8 +201,9 @@ def _write_curve(args, curve, command: str, extra_config: dict) -> int:
 
 def _cmd_simulate_mean(args) -> int:
     mu = _parse_floats(args.mu)
-    curve = boundary_grid_mean(mu, _sim_config(args))
-    return _write_curve(args, curve, "simulate-mean", {"mu": mu})
+    config = _sim_config(args)
+    curve = boundary_grid_mean(mu, config)
+    return _write_curve(args.out, config, curve, "simulate-mean", {"mu": mu})
 
 
 def _cmd_simulate_sparse(args) -> int:
@@ -209,9 +214,10 @@ def _cmd_simulate_sparse(args) -> int:
         "mixture": ("sparse_mixture",),
         "sum": ("sparse_sum",),
     }[args.variant]
-    curve = boundary_grid_sparse(eps, mu, _sim_config(args), variants=variants)
+    config = _sim_config(args)
+    curve = boundary_grid_sparse(eps, mu, config, variants=variants)
     return _write_curve(
-        args, curve, "simulate-sparse",
+        args.out, config, curve, "simulate-sparse",
         {"eps": eps, "mu": mu, "variant": args.variant},
     )
 

@@ -295,11 +295,10 @@ def _fit_sorted(
     pref2: np.ndarray,
     k: int,
     seed: int,
-    restarts: int,
 ) -> _Fit:
     """Fit k clusters on sorted values with their prefix sums: exact DP up
-    to ``EXACT_SIZE_LIMIT`` points, best-of-restarts Lloyd above, then the
-    silhouette (None for k = 1)."""
+    to ``EXACT_SIZE_LIMIT`` points, best of ``DEFAULT_RESTARTS`` Lloyd runs
+    above, then the silhouette (None for k = 1)."""
     m = srt.size
     if m <= EXACT_SIZE_LIMIT:
         cuts, inertia = _exact_contiguous(pref, pref2, m, k)
@@ -307,7 +306,7 @@ def _fit_sorted(
     else:
         best: tuple[float, np.ndarray, np.ndarray] | None = None
         work = np.empty((3, m))
-        for r in range(restarts):
+        for r in range(DEFAULT_RESTARTS):
             rng = np.random.default_rng((seed, r))
             cent0 = _init_centroids(srt, k, rng, work)
             cuts, cent, inertia = _lloyd(srt, pref, pref2, cent0.copy(), k)
@@ -344,12 +343,7 @@ def _model(order: np.ndarray, fit: _Fit, seed: int) -> ClusterModel:
     )
 
 
-def kmeans_1d(
-    points,
-    k: int,
-    seed: int = 0,
-    restarts: int = DEFAULT_RESTARTS,
-) -> ClusterModel:
+def kmeans_1d(points, k: int, seed: int = 0) -> ClusterModel:
     """Deterministic 1-D k-means: exact for small inputs, best-of-restarts
     Lloyd above ``EXACT_SIZE_LIMIT`` points.
 
@@ -363,7 +357,7 @@ def kmeans_1d(
     if m < k:
         raise TooFewPointsError(f"{m} points cannot form {k} clusters")
     order, srt, pref, pref2 = _sorted_setup(arr)
-    return _model(order, _fit_sorted(srt, pref, pref2, k, seed, restarts), seed)
+    return _model(order, _fit_sorted(srt, pref, pref2, k, seed), seed)
 
 
 def silhouette(points, model: ClusterModel) -> float:
@@ -380,11 +374,7 @@ def silhouette(points, model: ClusterModel) -> float:
 
 
 def best_model(
-    points,
-    k_min: int = 2,
-    k_max: int = 10,
-    seed: int = 0,
-    restarts: int = DEFAULT_RESTARTS,
+    points, k_min: int = 2, k_max: int = 10, seed: int = 0
 ) -> ClusterModel:
     """Fit k in [k_min, k_max] and keep the silhouette maximizer.
 
@@ -403,7 +393,7 @@ def best_model(
     order, srt, pref, pref2 = _sorted_setup(arr)
     chosen: _Fit | None = None
     for k in range(k_min, k_max + 1):
-        fit = _fit_sorted(srt, pref, pref2, k, seed, restarts)
+        fit = _fit_sorted(srt, pref, pref2, k, seed)
         if chosen is None or fit.silhouette > chosen.silhouette:
             chosen = fit
     return _model(order, chosen, seed)

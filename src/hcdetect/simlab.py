@@ -1,6 +1,10 @@
 """Monte Carlo laboratory: sample generators, replicated HC aggregation,
 and the detection-boundary (m*) crossing finder.
 
+One grid runner, ``_curve``, computes every boundary: it aggregates each
+(spec, m) cell on one thread pool and reads m* off each spec's trace.
+``find_crossing`` is a curve of one spec.
+
 Samples are tested against the standard normal directly (no
 standardization: a pure mean shift must remain detectable, and the
 standardized version of any i.i.d. normal sample is distribution-free of
@@ -182,16 +186,11 @@ def mc_hc(
     return _aggregate(reps, config.aggregator), reps
 
 
-def _scan_crossing(
-    grid: tuple[int, ...], agg: np.ndarray, hysteresis: int
-) -> int | None:
-    thr = np.array([asymptotic_threshold(m) for m in grid])
-    ok = agg >= thr
-    n = len(grid)
-    for j in range(n):
-        upto = min(n, j + hysteresis + 1)
-        if ok[j:upto].all():
-            return int(grid[j])
+def _first_crossing(trace: tuple[TracePoint, ...], hysteresis: int) -> int | None:
+    ok = [t.aggregated_hc >= t.threshold for t in trace]
+    for j, t in enumerate(trace):
+        if all(ok[j : j + hysteresis + 1]):
+            return t.m
     return None
 
 
@@ -201,53 +200,31 @@ def find_crossing(
     """Smallest grid m where the aggregated HC stays at or above
     sqrt(2 ln ln m) for `hysteresis` further grid points (clipped at the
     grid end); None when no such m exists."""
-    aggs = _grid_aggregates(spec, config)
-    trace = [
-        TracePoint(m, a, asymptotic_threshold(m))
-        for m, a in zip(config.m_grid, aggs)
-    ]
-    return _scan_crossing(config.m_grid, np.asarray(aggs), config.hysteresis), trace
-
-
-def _grid_aggregates(spec: GeneratorSpec, config: SimConfig) -> list[float]:
-    if config.workers == 1:
-        return [mc_hc(spec, m, config)[0] for m in config.m_grid]
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        futures = [pool.submit(mc_hc, spec, m, config) for m in config.m_grid]
-        return [f.result()[0] for f in futures]
+    point = _curve(spec.kind, [({}, spec)], config).points[0]
+    return point.m_star, list(point.trace)
 
 
 def _curve(
     kind: str, specs: list[tuple[dict, GeneratorSpec]], config: SimConfig
 ) -> BoundaryCurve:
-    tasks = [
-        (pi, mi, spec, m)
-        for pi, (_, spec) in enumerate(specs)
-        for mi, m in enumerate(config.m_grid)
-    ]
-    results: list[list[float]] = [
-        [0.0] * len(config.m_grid) for _ in range(len(specs))
-    ]
+    """The grid runner: every (spec, m) cell in spec-major order on one
+    thread pool, each cell's aggregate independent of the others."""
+    grid = config.m_grid
+    thresholds = [asymptotic_threshold(m) for m in grid]
+    tasks = [(spec, m) for _, spec in specs for m in grid]
 
     def run(task):
-        pi, mi, spec, m = task
-        return pi, mi, mc_hc(spec, m, config)[0]
+        spec, m = task
+        return mc_hc(spec, m, config)[0]
 
-    if config.workers == 1:
-        computed = map(run, tasks)
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            computed = list(pool.map(run, tasks))
-    for pi, mi, agg in computed:
-        results[pi][mi] = agg
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        aggs = list(pool.map(run, tasks))
 
     points = []
-    for (params, _), aggs in zip(specs, results):
-        trace = tuple(
-            TracePoint(m, a, asymptotic_threshold(m))
-            for m, a in zip(config.m_grid, aggs)
-        )
-        m_star = _scan_crossing(config.m_grid, np.asarray(aggs), config.hysteresis)
+    for i, (params, _) in enumerate(specs):
+        row = aggs[i * len(grid) : (i + 1) * len(grid)]
+        trace = tuple(map(TracePoint, grid, row, thresholds))
+        m_star = _first_crossing(trace, config.hysteresis)
         points.append(BoundaryPoint(params=params, m_star=m_star, trace=trace))
     return BoundaryCurve(kind=kind, points=tuple(points))
 

@@ -120,7 +120,7 @@ class TestKmeans:
         points = np.asarray(values)
         if np.unique(points).size < k:
             return
-        model = kmeans_1d(points, k=k, seed=0, restarts=16)
+        model = kmeans_1d(points, k=k, seed=0)
         assert model.inertia <= exhaustive_contiguous_optimum(points, k) + 1e-9
 
 

@@ -124,6 +124,17 @@ class TestIngest:
         with pytest.raises(ParseError, match="8003 bytes"):
             ingest(InputSpec(path=path, format="raw_f64_le"))
 
+    @pytest.mark.parametrize("bad,index", [(math.nan, 5), (-math.inf, 0)])
+    def test_raw_non_finite_names_the_sample(self, tmp_path, bad, index):
+        values = np.arange(20.0)
+        values[index] = bad
+        path = tmp_path / "x.bin"
+        write_raw_f64(path, values)
+        with pytest.raises(NonFiniteError) as err:
+            ingest(InputSpec(path=path, format="raw_f64_le"))
+        assert err.value.index == index
+        assert f"at index {index}" in str(err.value)
+
     def test_nan_names_the_row(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("1.0\n2.0\nnan\n4.0\n")
@@ -441,6 +452,19 @@ class TestCliStats:
         code = main(["stats", "--input", str(path), "--format", "raw_f64_le"])
         assert code == 2
         assert "multiple of 8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["stats", "detect"])
+    @pytest.mark.parametrize("bad,index", [(math.nan, 5), (-math.inf, 0)])
+    def test_raw_non_finite_exits_2(self, tmp_path, capsys, command, bad, index):
+        values = np.random.default_rng(4).standard_normal(1000)
+        values[index] = bad
+        path = tmp_path / "x.bin"
+        write_raw_f64(path, values)
+        argv = [command, "--input", str(path), "--format", "raw_f64_le"]
+        if command == "detect":
+            argv += ["--out", str(tmp_path / "report.json")]
+        assert main(argv) == 2
+        assert f"at index {index}" in capsys.readouterr().err
 
     def test_mean_sd_are_the_compensated_moments(self, tmp_path, capsys):
         # with this seed np.mean and np.std both differ from the

@@ -7,14 +7,17 @@ import scipy.stats
 from hcdetect import (
     GeneratorSpec,
     SimConfig,
+    TracePoint,
     asymptotic_threshold,
     boundary_grid_mean,
     boundary_grid_sparse,
     find_crossing,
+    hc_test_statistic,
     mc_hc,
     sample,
 )
 from hcdetect.errors import DomainError
+from hcdetect.simlab import _first_crossing
 
 
 class TestGeneratorSpec:
@@ -147,6 +150,27 @@ class TestFindCrossing:
         m_star, _ = find_crossing(GeneratorSpec.shifted_mean(2.0), config)
         assert m_star == 500
 
+    @pytest.mark.parametrize(
+        "above,hysteresis,expected",
+        [
+            ("-++-+++", 0, 1),
+            ("-++-+++", 1, 1),
+            ("-++-+++", 2, 4),
+            ("-++-+++", 3, 4),  # the window is clipped at the grid end
+            ("-++-++-", 2, None),
+            ("-------", 0, None),
+        ],
+    )
+    def test_first_crossing_needs_hysteresis_more_points(
+        self, above, hysteresis, expected
+    ):
+        trace = tuple(
+            TracePoint(100 + j, 2.0 if c == "+" else 1.0, 1.5)
+            for j, c in enumerate(above)
+        )
+        m_star = _first_crossing(trace, hysteresis)
+        assert m_star == (None if expected is None else 100 + expected)
+
 
 class TestBoundaryGrids:
     def test_single_point_grid_matches_find_crossing(self):
@@ -156,6 +180,46 @@ class TestBoundaryGrids:
         m_star, trace = find_crossing(GeneratorSpec.shifted_mean(1.5), config)
         assert curve.points[0].m_star == m_star
         assert list(curve.points[0].trace) == trace
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("aggregator", ["mean", "median"])
+    @pytest.mark.parametrize("scheme", ["fresh", "bootstrap"])
+    def test_sparse_grid_matches_the_documented_recipe(
+        self, scheme, aggregator, workers
+    ):
+        config = SimConfig(
+            replicates=4, m_grid=(200, 500, 1000), seed=12, aggregator=aggregator,
+            scheme=scheme, workers=workers,
+        )
+        curve = boundary_grid_sparse([0.05, 0.3], [2.0], config)
+        assert [(p.params["variant"], p.params["eps"]) for p in curve.points] == [
+            ("sparse_mixture", 0.05), ("sparse_mixture", 0.3),
+            ("sparse_sum", 0.05), ("sparse_sum", 0.3),
+        ]
+        aggregate = np.mean if aggregator == "mean" else np.median
+        for point in curve.points:
+            spec = GeneratorSpec(
+                kind=point.params["variant"], mu=2.0, eps=point.params["eps"]
+            )
+            expected = []
+            for m in config.m_grid:
+                if scheme == "fresh":
+                    hcs = [
+                        hc_test_statistic(sample(spec, m, (12, m, r)).values)
+                        for r in range(4)
+                    ]
+                else:
+                    base = sample(spec, m, (12, m)).values
+                    hcs = [
+                        hc_test_statistic(
+                            base[np.random.default_rng((12, m, r)).integers(0, m, m)]
+                        )
+                        for r in range(4)
+                    ]
+                agg = float(aggregate(hcs))
+                expected.append(TracePoint(m, agg, asymptotic_threshold(m)))
+            assert list(point.trace) == expected
+            assert point.m_star == find_crossing(spec, config)[0]
 
     def test_mean_curve_monotone_for_strong_signals(self):
         config = SimConfig(
