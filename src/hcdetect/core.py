@@ -40,6 +40,15 @@ def _as_float_array(values, *, copy: bool = True) -> np.ndarray:
     return arr
 
 
+def _require_finite(arr: np.ndarray) -> None:
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        idx = int(np.argmax(bad))
+        raise NonFiniteError(
+            f"non-finite sample {float(arr[idx])} at index {idx}", index=idx
+        )
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Raw sampled values; the input to everything.
@@ -57,12 +66,7 @@ class TimeSeries:
             raise TooShortError(
                 f"series has {arr.size} samples; at least {MIN_LENGTH} required"
             )
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            idx = int(np.argmax(bad))
-            raise NonFiniteError(
-                f"non-finite sample {arr[idx]!r} at index {idx}", index=idx
-            )
+        _require_finite(arr)
         if self.sample_rate_hz is not None and not self.sample_rate_hz > 0:
             raise DomainError("sample_rate_hz must be positive")
         arr.setflags(write=False)
@@ -182,8 +186,12 @@ def hc_from_sorted_p(p_sorted: np.ndarray) -> np.ndarray:
     at exactly 0 or 1 a vanishing numerator yields 0, otherwise +-inf.
     """
     p = np.asarray(p_sorted, dtype=np.float64)
-    m = p.size
-    i = np.arange(1, m + 1, dtype=np.float64)
+    return _hc_leading_ranks(p, p.size)
+
+
+def _hc_leading_ranks(p: np.ndarray, m: int) -> np.ndarray:
+    # The HC components of ranks 1..p.size out of m sorted p-values.
+    i = np.arange(1, p.size + 1, dtype=np.float64)
     num = np.sqrt(m) * (i / m - p)
     denom = np.sqrt(p * (1.0 - p))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -294,14 +302,29 @@ def hc_test_statistic(values: np.ndarray) -> float:
     dominate the null distribution and the statistic sits above
     sqrt(2 ln ln m) for any desk-scale m, which would make every crossing
     experiment degenerate.
+
+    Only the half of the samples with the largest |x| is converted to
+    p-values and sorted, unless the rare fallback below needs all of them.
     """
     x = np.asarray(values, dtype=np.float64).reshape(-1)
     m = x.size
     if m < MIN_LENGTH:
         raise TooShortError(f"statistic needs at least {MIN_LENGTH} samples")
+    _require_finite(x)
+    half = max(m // 2, 1)
+    top = np.abs(x)
+    top.partition(m - half)
+    p = backend.two_sided_p(top[m - half :])
+    p.sort()
+    keep = p > 1.0 / m
+    # two_sided_p is non-increasing in |x| wherever p <= P_CEIL, but not
+    # next to 0: an exact 0 clamps to P_CEIL while |x| = 1e-6 gives
+    # 0.9999992. So while every p of the top half is <= P_CEIL, no other
+    # sample has a smaller p, and these are the full sort's first half.
+    if keep.any() and p[-1] <= P_CEIL:
+        return float(_hc_leading_ranks(p, m)[keep].max())
     p = np.sort(backend.two_sided_p(x))
     hc = hc_from_sorted_p(p)
-    half = max(m // 2, 1)
     keep = p[:half] > 1.0 / m
     if keep.any():
         return float(hc[:half][keep].max())

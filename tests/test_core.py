@@ -18,7 +18,7 @@ from hcdetect import (
     standardize,
     tukey_hc,
 )
-from hcdetect import backend
+from hcdetect import _purekernels, backend
 from hcdetect.core import P_FLOOR
 from hcdetect.errors import (
     DomainError,
@@ -26,6 +26,52 @@ from hcdetect.errors import (
     TooShortError,
     ZeroVarianceError,
 )
+
+def _full_sort_statistic(values) -> float:
+    """The reference for ``hc_test_statistic``: every p-value, one full
+    sort, and the maximum over ranks <= m/2 with p > 1/m."""
+    x = np.asarray(values, dtype=np.float64).reshape(-1)
+    m = x.size
+    p = np.sort(backend.two_sided_p(x))
+    hc = hc_from_sorted_p(p)
+    half = max(m // 2, 1)
+    keep = p[:half] > 1.0 / m
+    if keep.any():
+        return float(hc[:half][keep].max())
+    return float(hc.max())
+
+
+def _statistic_inputs() -> list[np.ndarray]:
+    """Seeded inputs: odd and even m down to 3, ties, samples pinned at the
+    p-value floor, mean shifts, and values at or next to 0, where
+    two_sided_p is not monotone."""
+    rng = np.random.default_rng(4242)
+    cases = [
+        # Half-rank shortcuts that ignore the clamp at 0 get these wrong:
+        # the first gives -899.99 instead of -499.99249996988755.
+        np.array([0.0] * 6 + [1e-6] * 4),
+        np.array([0.0] * 3 + [1e-6] * 7),
+        np.array([0.0, 0.0, 0.0, 1e-7, 1e-7, 3.0]),
+        np.array([40.0] * 6 + [0.1, -0.2, 0.3, -0.4]),
+    ]
+    for k in range(400):
+        m = 3 if k % 25 == 0 else int(rng.integers(3, 300))
+        x = rng.standard_normal(m)
+        kind = k % 6
+        if kind == 1:
+            x = np.round(x, 1)
+        elif kind == 2:
+            pinned = rng.random(m) < rng.uniform(0.1, 0.9)
+            x[pinned] = rng.choice([10.0, -40.0], size=int(pinned.sum()))
+        elif kind == 3:
+            x += rng.uniform(-3.0, 3.0)
+        elif kind == 4:
+            x += 4.0 * (rng.random(m) < 0.05)
+        elif kind == 5:
+            x = np.round(x, 0) * rng.choice([1.0, 1e-6, 1e-7])
+        cases.append(x)
+    return cases
+
 
 def _criterion_4_input(seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
@@ -267,3 +313,35 @@ class TestTestStatistic:
         assert int(np.argmax(hc)) == 5
         assert hc_test_statistic(x) == float(hc.max())
         assert hc_test_statistic(x) > hc[:5].max()
+
+    @pytest.mark.parametrize("kernels", ["pure", "native"])
+    def test_equals_the_full_sort_reference(self, monkeypatch, request, kernels):
+        if kernels == "native":
+            fn = request.getfixturevalue("native_kernels").two_sided_p
+        else:
+            fn = _purekernels.two_sided_p
+        monkeypatch.setattr(backend, "two_sided_p", fn)
+        for n, x in enumerate(_statistic_inputs()):
+            assert hc_test_statistic(x) == _full_sort_statistic(x), n
+
+    def test_converts_only_the_top_half_to_p_values(self, monkeypatch):
+        sizes = []
+        real = backend.two_sided_p
+
+        def counting(z):
+            sizes.append(np.size(z))
+            return real(z)
+
+        monkeypatch.setattr(backend, "two_sided_p", counting)
+        m = 10_001
+        hc_test_statistic(np.random.default_rng(31).standard_normal(m))
+        assert sizes == [m // 2]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        x = np.array([1.0, 2.0, 0.5, 0.1, 0.2, 3.0, 0.0, 1.5])
+        x[0] = bad
+        with pytest.raises(NonFiniteError) as err:
+            hc_test_statistic(x)
+        assert err.value.index == 0
+        assert f"non-finite sample {bad} at index 0" in str(err.value)

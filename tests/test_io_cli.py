@@ -133,7 +133,7 @@ class TestIngest:
         with pytest.raises(NonFiniteError) as err:
             ingest(InputSpec(path=path, format="raw_f64_le"))
         assert err.value.index == index
-        assert f"at index {index}" in str(err.value)
+        assert f"non-finite sample {bad} at index {index}" in str(err.value)
 
     def test_nan_names_the_row(self, tmp_path):
         path = tmp_path / "x.csv"

@@ -1,5 +1,8 @@
 """Vendored special functions against independent oracles."""
 
+import hashlib
+import platform
+
 import numpy as np
 import pytest
 import scipy.special
@@ -64,12 +67,90 @@ def test_two_sided_p_examples_and_clamps():
     assert P_FLOOR == 2.0**-54
 
 
-def test_two_sided_p_monotone_non_increasing():
-    x = np.linspace(0.0, 12.0, 5001)
-    p = backend.two_sided_p(x)
+# The arguments |x| at which erfc(|x|/sqrt(2)) switches formula.
+ERFC_PIECE_BOUNDARIES = np.array([0.84375, 1.25, 1.0 / 0.35, 6.0, 28.0]) * np.sqrt(2.0)
+
+
+def _assert_monotone(two_sided):
+    # hc_test_statistic relies on p being non-increasing in |x| wherever
+    # p <= P_CEIL, which holds on this grid, piece boundaries included.
+    steps = np.arange(-20_000, 20_001)
+    around = [
+        (b.view(np.int64) + steps).view(np.float64) for b in ERFC_PIECE_BOUNDARIES
+    ]
+    x = np.sort(np.concatenate([np.linspace(0.0, 40.0, 400_001), *around]))
+    p = two_sided(x)
     assert (np.diff(p) <= 0).all()
     assert p.min() >= P_FLOOR
     assert p.max() <= P_CEIL
+    # The one exception sits next to 0: an exact 0 clamps to P_CEIL, but a
+    # tiny |x| maps to an erfc value between P_CEIL and 1.
+    assert two_sided(0.0) == P_CEIL < two_sided(1e-6)
+
+
+def test_two_sided_p_monotone_non_increasing():
+    _assert_monotone(backend.two_sided_p)
+    _assert_monotone(pure.two_sided_p)
+
+
+def test_two_sided_p_monotone_non_increasing_native(native_kernels):
+    _assert_monotone(native_kernels.two_sided_p)
+
+
+def _golden_grid() -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(5401)
+    b = ERFC_PIECE_BOUNDARIES
+    x = np.concatenate([
+        rng.standard_normal(100_000) * 4.0,
+        np.linspace(-40.0, 40.0, 40_001),
+        b, -b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
+        [0.0, -0.0, 5e-324, 1e-300, 2.0**-57, 2.0**-56, 1e-6, -1e-6,
+         8.3, 37.5, -37.5, 1e300, np.inf, -np.inf, np.nan],
+    ])
+    u = np.concatenate([
+        rng.random(100_000),
+        10.0 ** -rng.uniform(0.0, 300.0, 5_000),
+        1.0 - 10.0 ** -rng.uniform(1.0, 16.0, 5_000),
+        [0.0, 1.0, 0.5, 0.075, 0.925, 0.0749999, 0.0750001, np.exp(-25.0),
+         1.0 - np.exp(-25.0), 2.0**-54, 5e-324, 1.0 - 2.0**-53, -0.5, 1.5,
+         np.nan],
+    ])
+    return x, u
+
+
+# sha256 of the pure kernels' float64 output bytes on ``_golden_grid``.
+# Seeded Monte Carlo payloads depend on these bits, which the ulp
+# tolerances of test_backends_agree do not pin. The tails call numpy's
+# exp and log, whose last bits depend on the SIMD code numpy dispatches.
+GOLDEN_DIGESTS = {
+    "ndtri": "0538c62a46d78f180bfdb0374d592b628c57b7207cf8e5fe2838cb118e39b905",
+    "erfc": "33987eb201b0b1e9591a4a2a68c310651e05bc7fc09fc8d41563d1599a97e802",
+    "two_sided_p": "78447bfee306f393f55645620b36591e7a87ead45ed8cf22a5eedbd814af7760",
+}
+GOLDEN_PLATFORM = ("x86_64", "X86_V4", "X86_V4")
+
+
+def test_pure_kernels_match_golden_bits():
+    introspect = pytest.importorskip("numpy.lib.introspect")
+    dispatch = introspect.opt_func_info(func_name="^(exp|log)$", signature="float64")
+    here = (
+        platform.machine(),
+        dispatch["exp"]["dd"]["current"],
+        dispatch["log"]["dd"]["current"],
+    )
+    if here != GOLDEN_PLATFORM:
+        pytest.skip(f"digests recorded on {GOLDEN_PLATFORM}, this is {here}")
+    x, u = _golden_grid()
+    outputs = {
+        "ndtri": pure.ndtri(u),
+        "erfc": pure.erfc(x),
+        "two_sided_p": pure.two_sided_p(x),
+    }
+    digests = {
+        name: hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()
+        for name, out in outputs.items()
+    }
+    assert digests == GOLDEN_DIGESTS
 
 
 def test_backends_agree(native_kernels):
