@@ -7,25 +7,31 @@ programming over contiguous partitions, which guarantees the global
 optimum that restarted local search cannot; larger inputs use Lloyd's
 algorithm with D^2-weighted seeded initialization and a fixed number of
 independent restarts, implemented on the sorted values so each iteration
-is a handful of O(k log m) boundary updates. Seeding refreshes the D^2
-weights only inside each new centre's cell of the sorted values.
+is a handful of O(k log m) boundary updates.
+One search serves every k up to ``k_max``. The DP's row for c clusters
+(the best cost of every prefix) does not depend on k, so one table of
+rows 1..k_max gives each k's cuts (Wang & Song, "Ckmeans.1d.dp", R
+Journal 2011). D^2 seeding (Arthur & Vassilvitskii, SODA 2007) draws
+centres one at a time, so the first k of a restart's k_max picks are its
+seeding for k.
 Contiguity also makes the silhouette score exactly computable with prefix
 sums instead of the quadratic pairwise form: O(m k) when the clusters
 occupy disjoint ranges, as they do unless a cut splits tied values, and
 O(m k log m) otherwise.
 ``best_model`` sets up once (finiteness check, stable sort, prefix sums)
-and fits every k on the sorted values, the same fit ``kmeans_1d`` runs.
+and fits every k from that search; ``kmeans_1d`` is the search with
+k_max = k.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
+    DomainError,
     NonFiniteError,
     TooFewPointsError,
     UndefinedSilhouetteError,
@@ -34,12 +40,6 @@ from .errors import (
 DEFAULT_RESTARTS = 10
 MAX_ITER = 300
 EXACT_SIZE_LIMIT = 512
-
-# Widening of a seeding cell beyond the rounded midpoints to its neighbours
-# (relative, plus an absolute floor for subnormal values); see
-# ``_init_centroids``.
-_CELL_MARGIN = 2.0**-40
-_CELL_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -85,68 +85,37 @@ def _check_points(points) -> np.ndarray:
     return arr
 
 
-def _cell_edge(srt: np.ndarray, a: float, b: float, side: str) -> int:
-    """Index in ``srt`` of the midpoint of centres a <= b, moved outward
-    (down for side="left", up for side="right") past its rounding error."""
-    mid = 0.5 * a + 0.5 * b
-    pad = _CELL_MARGIN * (abs(a) + abs(b)) + _CELL_FLOOR
-    edge = mid - pad if side == "left" else mid + pad
-    return int(np.searchsorted(srt, edge, side=side))
+def _d2_picks(srt: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Row r: k D^2-weighted picks (k-means++) from the sorted values, in
+    draw order, by ``default_rng((seed, r))``, for each of the
+    ``DEFAULT_RESTARTS`` restarts.
 
-
-def _init_centroids(
-    srt: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    work: np.ndarray | None = None,
-) -> np.ndarray:
-    # ``work`` is a (3, m) array this overwrites; callers that seed one
-    # input many times pass the same one, so no seeding allocates (and
-    # page-faults in) full-length arrays of its own. np.square is what
-    # ``** 2`` computes, bit for bit.
-    #
-    # D^2-weighted sampling (k-means++ style) on the sorted values. A new
-    # centre lowers d2 only inside its cell, the slice of srt between the
-    # midpoints to its chosen neighbours, so only that slice of d2 and the
-    # running cumsum from its start are refreshed. The slice is widened
-    # past rounding: np.minimum over any superset of the cell gives the
-    # same d2, and seeding the refill with the unchanged running sum
-    # before the slice repeats the sequential cumsum bit for bit. The
-    # total stays a full pairwise sum.
+    Each pick after the first is drawn from the squared distances to the
+    earlier ones, so a row's first k' picks, sorted, are that restart's
+    seeding for k' clusters. np.square is what ``** 2`` computes, bit for
+    bit; three buffers serve every restart.
+    """
     m = srt.size
-    d2, cs, sq = np.empty((3, m)) if work is None else work
-    cent = np.empty(k)
-    cent[0] = srt[rng.integers(m)]
-    chosen = [float(cent[0])]
-    np.subtract(srt, cent[0], out=d2)
-    np.square(d2, out=d2)
-    np.cumsum(d2, out=cs)
-    for j in range(1, k):
-        total = d2.sum()
-        if total > 0.0:
-            target = rng.random() * total
-            pos = int(np.searchsorted(cs, target))
-            pos = min(pos, m - 1)
-        else:
-            pos = int(rng.integers(m))
-        c = float(srt[pos])
-        cent[j] = c
-        at = bisect.bisect_left(chosen, c)
-        lo = _cell_edge(srt, chosen[at - 1], c, "left") if at > 0 else 0
-        hi = _cell_edge(srt, c, chosen[at], "right") if at < len(chosen) else m
-        chosen.insert(at, c)
-        cell, sq_cell = d2[lo:hi], sq[lo:hi]
-        np.subtract(srt[lo:hi], c, out=sq_cell)
-        np.square(sq_cell, out=sq_cell)
-        np.minimum(cell, sq_cell, out=cell)
-        if lo == 0:
-            np.cumsum(d2, out=cs)
-        else:
-            keep = d2[lo - 1]
-            d2[lo - 1] = cs[lo - 1]
-            np.cumsum(d2[lo - 1 :], out=cs[lo - 1 :])
-            d2[lo - 1] = keep
-    return np.sort(cent)
+    d2, cs, sq = np.empty((3, m))
+    picks = np.empty((DEFAULT_RESTARTS, k))
+    for r, row in enumerate(picks):
+        rng = np.random.default_rng((seed, r))
+        row[0] = srt[rng.integers(m)]
+        np.subtract(srt, row[0], out=d2)
+        np.square(d2, out=d2)
+        for j in range(1, k):
+            total = d2.sum()
+            if total > 0.0:
+                np.cumsum(d2, out=cs)
+                pos = min(int(np.searchsorted(cs, rng.random() * total)), m - 1)
+            else:
+                pos = int(rng.integers(m))
+            row[j] = srt[pos]
+            if j + 1 < k:
+                np.subtract(srt, row[j], out=sq)
+                np.square(sq, out=sq)
+                np.minimum(d2, sq, out=d2)
+    return picks
 
 
 def _lloyd(
@@ -201,33 +170,40 @@ def _lloyd(
     return cuts, cent, inertia
 
 
-def _exact_contiguous(
-    pref: np.ndarray, pref2: np.ndarray, n: int, k: int
-) -> tuple[np.ndarray, float]:
-    """Globally optimal contiguous partition by O(k n^2) dynamic
-    programming over segment sums of squared error. Returns (cuts, sse)."""
+def _exact_cuts(
+    pref: np.ndarray, pref2: np.ndarray, k_min: int, k_max: int
+) -> list[tuple[np.ndarray, float]]:
+    """Globally optimal contiguous partitions for every k in [k_min, k_max]
+    by dynamic programming over segment sums of squared error, O(k_max n^2).
+    Returns (cuts, sse) per k.
 
-    def seg_cost(i: np.ndarray, j: int) -> np.ndarray:
-        count = j - i
-        s = pref[j] - pref[i]
-        return (pref2[j] - pref2[i]) - s * s / count
-
+    Row c of the table holds the best c-cluster cost of every prefix and
+    does not depend on k, so one pass of rows 1..k_max serves every k. Ties
+    go to the smallest split point.
+    """
+    n = pref.size - 1
     idx = np.arange(n + 1)
-    best = np.full((k + 1, n + 1), np.inf)
-    arg = np.zeros((k + 1, n + 1), dtype=np.int64)
-    best[0, 0] = 0.0
-    for c in range(1, k + 1):
-        for j in range(c, n - (k - c) + 1):
-            starts = idx[c - 1 : j]
-            totals = best[c - 1, c - 1 : j] + seg_cost(starts, j)
-            pos = int(np.argmin(totals))
-            best[c, j] = totals[pos]
-            arg[c, j] = starts[pos]
-    cuts = np.empty(k + 1, dtype=np.int64)
-    cuts[k] = n
-    for c in range(k, 0, -1):
-        cuts[c - 1] = arg[c, cuts[c]]
-    return cuts, float(best[k, n])
+    count = idx - idx[:, None]  # [i, j] = j - i, points in segment i..j
+    s = pref - pref[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cost = (pref2 - pref2[:, None]) - s * s / count
+    cost[count <= 0] = np.inf
+    best = np.full(n + 1, np.inf)
+    best[0] = 0.0
+    rows, args = [best], []
+    for _ in range(k_max):
+        totals = rows[-1][:, None] + cost
+        arg = np.argmin(totals, axis=0)
+        rows.append(totals[arg, idx])
+        args.append(arg)
+    out = []
+    for k in range(k_min, k_max + 1):
+        cuts = np.empty(k + 1, dtype=np.int64)
+        cuts[k] = n
+        for c in range(k, 0, -1):
+            cuts[c - 1] = args[c - 1][cuts[c]]
+        out.append((cuts, float(rows[k][n])))
+    return out
 
 
 def _silhouette_of(clusters: list[np.ndarray]) -> float:
@@ -278,6 +254,20 @@ def _silhouette_of(clusters: list[np.ndarray]) -> float:
     return total / sum(c.size for c in clusters)
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
+
+
+def _check_labels(arr: np.ndarray, model: ClusterModel) -> None:
+    """Reject a model that does not label every point with an id in [0, k)."""
+    if arr.size != model.assignment.size:
+        raise TooFewPointsError("model does not cover the given points")
+    labels = np.asarray(model.assignment)
+    if labels.size and (labels.min() < 0 or labels.max() >= model.k):
+        raise DomainError(f"cluster labels must lie in [0, {model.k})")
+
+
 def _sorted_setup(
     arr: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -289,39 +279,43 @@ def _sorted_setup(
     return order, srt, pref, pref2
 
 
-def _fit_sorted(
+def _fit_range(
     srt: np.ndarray,
     pref: np.ndarray,
     pref2: np.ndarray,
-    k: int,
+    k_min: int,
+    k_max: int,
     seed: int,
-) -> _Fit:
-    """Fit k clusters on sorted values with their prefix sums: exact DP up
-    to ``EXACT_SIZE_LIMIT`` points, best of ``DEFAULT_RESTARTS`` Lloyd runs
-    above, then the silhouette (None for k = 1)."""
-    m = srt.size
-    if m <= EXACT_SIZE_LIMIT:
-        cuts, inertia = _exact_contiguous(pref, pref2, m, k)
-        cent = (pref[cuts[1:]] - pref[cuts[:-1]]) / np.diff(cuts)
+) -> list[_Fit]:
+    """Fit every k in [k_min, k_max] on sorted values with their prefix
+    sums, from one search: the exact DP table up to ``EXACT_SIZE_LIMIT``
+    points, above it one D^2 pick sequence per restart, each k keeping the
+    best of its ``DEFAULT_RESTARTS`` Lloyd runs. Then each silhouette
+    (None for k = 1)."""
+    if srt.size <= EXACT_SIZE_LIMIT:
+        fits = [
+            (cuts, (pref[cuts[1:]] - pref[cuts[:-1]]) / np.diff(cuts), inertia)
+            for cuts, inertia in _exact_cuts(pref, pref2, k_min, k_max)
+        ]
     else:
-        best: tuple[float, np.ndarray, np.ndarray] | None = None
-        work = np.empty((3, m))
-        for r in range(DEFAULT_RESTARTS):
-            rng = np.random.default_rng((seed, r))
-            cent0 = _init_centroids(srt, k, rng, work)
-            cuts, cent, inertia = _lloyd(srt, pref, pref2, cent0.copy(), k)
-            if best is None or inertia < best[0]:
-                best = (inertia, cuts, cent)
-        del work  # the silhouette below sets the peak memory of detect
-        inertia, cuts, cent = best
-
-    inertia = max(inertia, 0.0)  # guard tiny negative cancellation residue
-    sil = (
-        _silhouette_of([srt[cuts[j] : cuts[j + 1]] for j in range(k)])
-        if k >= 2
-        else None
-    )
-    return _Fit(cuts, cent, inertia, sil)
+        best: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
+        for picks in _d2_picks(srt, k_max, seed):
+            for k in range(k_min, k_max + 1):
+                fit = _lloyd(srt, pref, pref2, np.sort(picks[:k]), k)
+                if k not in best or fit[2] < best[k][2]:
+                    best[k] = fit
+        fits = list(best.values())
+    return [
+        _Fit(
+            cuts,
+            cent,
+            max(inertia, 0.0),  # guard tiny negative cancellation residue
+            _silhouette_of([srt[a:b] for a, b in zip(cuts[:-1], cuts[1:])])
+            if cent.size >= 2
+            else None,
+        )
+        for cuts, cent, inertia in fits
+    ]
 
 
 def _model(order: np.ndarray, fit: _Fit, seed: int) -> ClusterModel:
@@ -348,7 +342,8 @@ def kmeans_1d(points, k: int, seed: int = 0) -> ClusterModel:
     Lloyd above ``EXACT_SIZE_LIMIT`` points.
 
     Restart r draws its own generator from (seed, r), so the result is
-    independent of execution order; the exact path ignores the seed.
+    independent of execution order; the exact path ignores the seed. The
+    seed must be non-negative.
     """
     arr = _check_points(points)
     m = arr.size
@@ -356,8 +351,10 @@ def kmeans_1d(points, k: int, seed: int = 0) -> ClusterModel:
         raise TooFewPointsError("k must be at least 1")
     if m < k:
         raise TooFewPointsError(f"{m} points cannot form {k} clusters")
+    _check_seed(seed)
     order, srt, pref, pref2 = _sorted_setup(arr)
-    return _model(order, _fit_sorted(srt, pref, pref2, k, seed), seed)
+    (fit,) = _fit_range(srt, pref, pref2, k, k, seed)
+    return _model(order, fit, seed)
 
 
 def silhouette(points, model: ClusterModel) -> float:
@@ -365,8 +362,7 @@ def silhouette(points, model: ClusterModel) -> float:
     if model.k < 2:
         raise UndefinedSilhouetteError("silhouette requires at least 2 clusters")
     arr = _check_points(points)
-    if arr.size != model.assignment.size:
-        raise TooFewPointsError("model does not cover the given points")
+    _check_labels(arr, model)
     clusters = [np.sort(arr[model.assignment == j]) for j in range(model.k)]
     if any(c.size == 0 for c in clusters):
         raise TooFewPointsError("model has an empty cluster")
@@ -378,7 +374,8 @@ def best_model(
 ) -> ClusterModel:
     """Fit k in [k_min, k_max] and keep the silhouette maximizer.
 
-    Ties go to the smallest k (strictly-greater replacement).
+    Ties go to the smallest k. Every k comes from one search (see
+    ``_fit_range``) and equals ``kmeans_1d(points, k, seed)``.
     """
     arr = _check_points(points)
     if not 2 <= k_min <= k_max:
@@ -387,16 +384,13 @@ def best_model(
         raise TooFewPointsError(
             f"k_max={k_max} exceeds the number of points ({arr.size})"
         )
+    _check_seed(seed)
     # Every fit depends on the points only through their stable sort and
     # its prefix sums, so set those up once; scatter only the winner's
     # labels back to caller order.
     order, srt, pref, pref2 = _sorted_setup(arr)
-    chosen: _Fit | None = None
-    for k in range(k_min, k_max + 1):
-        fit = _fit_sorted(srt, pref, pref2, k, seed)
-        if chosen is None or fit.silhouette > chosen.silhouette:
-            chosen = fit
-    return _model(order, chosen, seed)
+    fits = _fit_range(srt, pref, pref2, k_min, k_max, seed)
+    return _model(order, max(fits, key=lambda f: f.silhouette), seed)
 
 
 def select_k(points, k_min: int = 2, k_max: int = 10, seed: int = 0) -> int:
@@ -413,8 +407,7 @@ def thresholds_from(
     sensitivity studies need one.
     """
     arr = _check_points(points)
-    if arr.size != model.assignment.size:
-        raise TooFewPointsError("model does not cover the given points")
+    _check_labels(arr, model)
     rows = []
     for j in range(model.k):
         members = arr[model.assignment == j]

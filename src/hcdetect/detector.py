@@ -47,6 +47,10 @@ class DetectionConfig:
             )
         if not np.isfinite(self.eq1_factor):
             raise DomainError("eq1_factor must be finite")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
+        if self.min_threshold is not None and not np.isfinite(self.min_threshold):
+            raise DomainError("min_threshold must be finite")
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,8 @@ class SimConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise DomainError("replicates must be at least 1")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
         grid = tuple(int(m) for m in self.m_grid)
         if len(grid) == 0:
             raise DomainError("m_grid must be non-empty")

@@ -15,7 +15,8 @@ from hcdetect import (
     silhouette,
     thresholds_from,
 )
-from hcdetect.errors import TooFewPointsError, UndefinedSilhouetteError
+from hcdetect.cluster import ClusterModel
+from hcdetect.errors import DomainError, TooFewPointsError, UndefinedSilhouetteError
 
 
 def exhaustive_contiguous_optimum(points: np.ndarray, k: int) -> float:
@@ -34,6 +35,18 @@ def exhaustive_contiguous_optimum(points: np.ndarray, k: int) -> float:
         total = sum(sse(a, b) for a, b in zip(edges, edges[1:]))
         best = min(best, total)
     return best
+
+
+def labelled_model(assignment) -> ClusterModel:
+    """A two-cluster model with the given labels, valid or not."""
+    return ClusterModel(
+        k=2,
+        centroids=np.array([0.5, 10.5]),
+        assignment=np.asarray(assignment),
+        inertia=0.0,
+        silhouette=None,
+        seed=0,
+    )
 
 
 def brute_force_silhouette(points: np.ndarray, assignment: np.ndarray) -> float:
@@ -94,6 +107,14 @@ class TestKmeans:
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):
             kmeans_1d([1.0, 2.0], k=3, seed=0)
+
+    @pytest.mark.parametrize("size", [300, 2000])
+    def test_negative_seed_is_domain_error(self, size):
+        points = np.random.default_rng(2).standard_normal(size)
+        with pytest.raises(DomainError, match="seed"):
+            kmeans_1d(points, k=3, seed=-1)
+        with pytest.raises(DomainError, match="seed"):
+            best_model(points, 2, 10, seed=-1)
 
     def test_centroids_sorted_and_clusters_non_empty(self):
         rng = np.random.default_rng(10)
@@ -162,6 +183,12 @@ class TestSilhouette:
         brute = brute_force_silhouette(points, np.asarray(model.assignment))
         assert exact == pytest.approx(brute, abs=1e-10)
 
+    @pytest.mark.parametrize("stray", [5, -1])
+    def test_label_outside_k_is_domain_error(self, stray):
+        points = np.array([0.0, 1.0, 10.0, 11.0, 12.0])
+        with pytest.raises(DomainError, match="labels"):
+            silhouette(points, labelled_model([0, 0, 1, 1, stray]))
+
     def test_model_silhouette_field_matches_op(self):
         rng = np.random.default_rng(6)
         points = rng.standard_normal(128)
@@ -205,8 +232,6 @@ class TestThresholds:
         # clusters: {1,2,3} -> 0, {5} -> 1, {0,4} -> 2 via a handmade model
         model = kmeans_1d(points, k=3, seed=0)
         # use explicit memberships instead: build from scratch
-        from hcdetect.cluster import ClusterModel
-
         assignment = np.array([0, 0, 0, 1, 2, 2])
         handmade = ClusterModel(
             k=3,
@@ -230,6 +255,12 @@ class TestThresholds:
             assert threshold >= mean
             assert threshold <= hi + (hi - lo) / 4.0
 
+    @pytest.mark.parametrize("stray", [5, -1])
+    def test_label_outside_k_is_domain_error(self, stray):
+        points = np.array([0.0, 1.0, 10.0, 11.0, 12.0])
+        with pytest.raises(DomainError, match="labels"):
+            thresholds_from(labelled_model([0, 0, 1, 1, stray]), points)
+
     def test_factor_knob(self):
         points = np.array([0.0, 4.0, 100.0, 104.0])
         model = kmeans_1d(points, k=2, seed=0)
@@ -240,7 +271,7 @@ class TestThresholds:
 
 def full_recompute_init(srt: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """The D^2 seeding recomputed over all points for every new centre:
-    the oracle for the cell-local ``_init_centroids``."""
+    the oracle for the pick sequences of ``_d2_picks``."""
     cent = np.empty(k)
     cent[0] = srt[rng.integers(srt.size)]
     d2 = (srt - cent[0]) ** 2
@@ -303,18 +334,130 @@ def _seeding_inputs() -> dict[str, np.ndarray]:
 
 
 class TestCellLocalSeeding:
+    """One pick sequence per restart seeds every k: its sorted first k
+    picks are the D^2 seeding for k, recomputed from scratch."""
+
     @pytest.mark.parametrize("name", sorted(_seeding_inputs()))
     def test_matches_full_recompute_bit_for_bit(self, name):
-        from hcdetect.cluster import _init_centroids
+        from hcdetect.cluster import DEFAULT_RESTARTS, _d2_picks
 
         srt = np.sort(_seeding_inputs()[name])
-        for k in range(2, 11):
-            for seed in range(12):
-                got = _init_centroids(srt, k, np.random.default_rng((seed, k)))
-                want = full_recompute_init(
-                    srt, k, np.random.default_rng((seed, k))
-                )
-                assert np.array_equal(got, want), (name, k, seed)
+        for seed in range(3):
+            picks = _d2_picks(srt, 10, seed)
+            assert picks.shape == (DEFAULT_RESTARTS, 10)
+            for r, row in enumerate(picks):
+                for k in range(1, 11):
+                    want = full_recompute_init(
+                        srt, k, np.random.default_rng((seed, r))
+                    )
+                    assert np.array_equal(np.sort(row[:k]), want), (name, seed, r, k)
+
+
+class TestOneSearchPerBestModel:
+    @pytest.mark.parametrize("k_min", [2, 5, 10])
+    def test_one_pick_sequence_per_restart(self, monkeypatch, k_min):
+        from hcdetect import cluster
+
+        rngs, searches = [], []
+        default_rng = np.random.default_rng
+        d2_picks = cluster._d2_picks
+
+        def counting_rng(*args):
+            rngs.append(args)
+            return default_rng(*args)
+
+        def counting_picks(srt, k, seed):
+            searches.append(k)
+            return d2_picks(srt, k, seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        monkeypatch.setattr(cluster, "_d2_picks", counting_picks)
+        points = np.random.RandomState(4).standard_normal(2000)
+        best_model(points, k_min, 10, seed=3)
+        assert searches == [10]
+        assert rngs == [((3, r),) for r in range(cluster.DEFAULT_RESTARTS)]
+
+    @pytest.mark.parametrize("k_min", [2, 5, 10])
+    def test_one_exact_table_at_or_below_the_limit(self, monkeypatch, k_min):
+        from hcdetect import cluster
+
+        tables = []
+        exact_cuts = cluster._exact_cuts
+
+        def counting_cuts(pref, pref2, lo, hi):
+            tables.append((lo, hi))
+            return exact_cuts(pref, pref2, lo, hi)
+
+        monkeypatch.setattr(cluster, "_exact_cuts", counting_cuts)
+        monkeypatch.setattr(cluster, "_d2_picks", None)
+        points = np.random.RandomState(5).standard_normal(cluster.EXACT_SIZE_LIMIT)
+        best_model(points, k_min, 10, seed=3)
+        assert tables == [(k_min, 10)]
+
+
+def per_k_exact_contiguous(
+    pref: np.ndarray, pref2: np.ndarray, n: int, k: int
+) -> tuple[np.ndarray, float]:
+    """The O(k n^2) DP run for one k, a Python loop over every prefix
+    length: the oracle for the one-pass table of ``_exact_cuts``."""
+
+    def seg_cost(i: np.ndarray, j: int) -> np.ndarray:
+        count = j - i
+        s = pref[j] - pref[i]
+        return (pref2[j] - pref2[i]) - s * s / count
+
+    idx = np.arange(n + 1)
+    best = np.full((k + 1, n + 1), np.inf)
+    arg = np.zeros((k + 1, n + 1), dtype=np.int64)
+    best[0, 0] = 0.0
+    for c in range(1, k + 1):
+        for j in range(c, n - (k - c) + 1):
+            starts = idx[c - 1 : j]
+            totals = best[c - 1, c - 1 : j] + seg_cost(starts, j)
+            pos = int(np.argmin(totals))
+            best[c, j] = totals[pos]
+            arg[c, j] = starts[pos]
+    cuts = np.empty(k + 1, dtype=np.int64)
+    cuts[k] = n
+    for c in range(k, 0, -1):
+        cuts[c - 1] = arg[c, cuts[c]]
+    return cuts, float(best[k, n])
+
+
+def _exact_table_inputs():
+    """205 seeded inputs of n = 1..512 points, mostly small to keep the
+    oracle quick: normal, rounded to ties, all equal, Cauchy and
+    duplicate-heavy."""
+    from hcdetect.cluster import EXACT_SIZE_LIMIT
+
+    rng = np.random.default_rng(61)
+    sizes = list(range(1, 11)) + rng.integers(11, 33, 30).tolist()
+    sizes.append(EXACT_SIZE_LIMIT)
+    kinds = {
+        "normal": lambda n: rng.standard_normal(n),
+        "ties": lambda n: np.round(rng.standard_normal(n), 1),
+        "all_equal": lambda n: np.full(n, 1.75),
+        "cauchy": lambda n: rng.standard_cauchy(n),
+        "duplicates": lambda n: rng.choice(rng.standard_normal(4), n),
+    }
+    return [(f"{kind}_{n}", make(n)) for n in sizes for kind, make in kinds.items()]
+
+
+class TestExactTable:
+    def test_matches_per_k_dp_for_every_k(self):
+        from hcdetect.cluster import _exact_cuts, _sorted_setup
+
+        inputs = _exact_table_inputs()
+        assert len(inputs) >= 200
+        for name, points in inputs:
+            _, _, pref, pref2 = _sorted_setup(points)
+            n = points.size
+            k_max = min(n, 10)
+            got = _exact_cuts(pref, pref2, 1, k_max)
+            for k, (cuts, sse) in enumerate(got, start=1):
+                want_cuts, want_sse = per_k_exact_contiguous(pref, pref2, n, k)
+                assert np.array_equal(cuts, want_cuts), (name, k)
+                assert sse == want_sse, (name, k)
 
 
 class TestSilhouetteShortcuts:
@@ -335,8 +478,6 @@ class TestSilhouetteShortcuts:
         assert silhouette(points, model) == searchsorted_silhouette(clusters)
 
     def test_overlapping_clusters_match_searchsorted_form(self):
-        from hcdetect.cluster import ClusterModel
-
         rng = np.random.default_rng(17)
         points = rng.standard_normal(300)
         assignment = rng.integers(0, 4, points.size)

@@ -261,6 +261,13 @@ def _write_spiked_csv(tmp_path, seed=42, m=100_000, count=10):
     return path, locs
 
 
+def _write_noise_csv(tmp_path, m):
+    path = tmp_path / "noise.csv"
+    rng = np.random.default_rng(3)
+    path.write_text("".join(f"{float(v)!r}\n" for v in rng.standard_normal(m)))
+    return path
+
+
 class TestCliDetect:
     def test_report_schema_and_recovery(self, tmp_path):
         path, locs = _write_spiked_csv(tmp_path)
@@ -322,6 +329,34 @@ class TestCliDetect:
         assert code == 2
         err = capsys.readouterr().err
         assert "k_max=10" in err and "6 HC values" in err
+
+    @pytest.mark.parametrize("m", [300, 2000])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, m):
+        # 300 samples cluster 150 HC values on the exact path, which uses
+        # no seed; 2000 samples cluster 1000 with seeded restarts.
+        path = _write_noise_csv(tmp_path, m)
+        code = main(["detect", "--input", str(path), "--seed", "-1"])
+        assert code == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_min_threshold_exits_2(self, tmp_path, capsys, value):
+        path = _write_noise_csv(tmp_path, 500)
+        code = main(["detect", "--input", str(path), f"--min-threshold={value}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "min_threshold must be finite" in captured.err
+
+    def test_report_is_strict_json(self, tmp_path, capsys):
+        path = _write_noise_csv(tmp_path, 500)
+        assert main(["detect", "--input", str(path), "--min-threshold", "2.5"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["thresholds"][0]["value"] == 2.5
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code = main(["detect", "--input", str(tmp_path / "absent.csv")])
@@ -386,6 +421,21 @@ class TestCliSimulate:
         )
         assert code == 2
         assert "eps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate-mean", "simulate-sparse"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        signal = ["--mu", "1.0"] if command == "simulate-mean" else [
+            "--eps", "0.1", "--mu", "1.0"
+        ]
+        code = main(
+            [
+                command, *signal, "--m-grid", "100,200", "--replicates", "2",
+                "--seed", "-1", "--out", str(tmp_path / "c.csv"),
+            ]
+        )
+        assert code == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
     def test_byte_identical_reruns_and_thread_invariance(self, tmp_path):
         args = [
