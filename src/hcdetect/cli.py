@@ -75,8 +75,6 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--channel", type=int, default=None,
                    help="column index for multi-column CSV")
-    p.add_argument("--sample-rate", type=float, default=None,
-                   help="optional sampling rate in Hz (metadata only)")
 
 
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
@@ -135,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_detect(args) -> int:
     spec = InputSpec(path=Path(args.input), format=args.format, channel=args.channel)
-    series = ingest(spec, sample_rate_hz=args.sample_rate)
+    series = ingest(spec)
     config = DetectionConfig(
         window=args.window,
         k_min=args.k_min,
@@ -224,7 +222,7 @@ def _cmd_simulate_sparse(args) -> int:
 
 def _cmd_stats(args) -> int:
     spec = InputSpec(path=Path(args.input), format=args.format, channel=args.channel)
-    series = ingest(spec, sample_rate_hz=args.sample_rate)
+    series = ingest(spec)
     # One standardization serves the profile and the kurtosis. The span
     # recorder of perfbench/spans.py wraps standardize and hc_profile on
     # ``core``, and kurtosis and profile_series under their names here.

@@ -30,9 +30,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import _require_finite
 from .errors import (
     DomainError,
-    NonFiniteError,
     TooFewPointsError,
     UndefinedSilhouetteError,
 )
@@ -79,9 +79,7 @@ class _Fit(NamedTuple):
 
 def _check_points(points) -> np.ndarray:
     arr = np.asarray(points, dtype=np.float64).reshape(-1)
-    if not np.isfinite(arr).all():
-        idx = int(np.argmax(~np.isfinite(arr)))
-        raise NonFiniteError(f"non-finite point at index {idx}", index=idx)
+    _require_finite(arr)
     return arr
 
 

@@ -35,11 +35,6 @@ P_FLOOR = backend.P_FLOOR
 P_CEIL = backend.P_CEIL
 
 
-def _as_float_array(values, *, copy: bool = True) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=copy).reshape(-1)
-    return arr
-
-
 def _require_finite(arr: np.ndarray) -> None:
     bad = ~np.isfinite(arr)
     if bad.any():
@@ -51,24 +46,18 @@ def _require_finite(arr: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Raw sampled values; the input to everything.
-
-    ``sample_rate_hz`` is carried as metadata only; the method itself is
-    unit-free after standardization.
-    """
+    """Raw sampled values; the input to everything. The method is
+    unit-free, so no sampling rate is needed."""
 
     values: np.ndarray
-    sample_rate_hz: float | None = None
 
     def __post_init__(self):
-        arr = _as_float_array(self.values)
+        arr = np.array(self.values, dtype=np.float64).reshape(-1)
         if arr.size < MIN_LENGTH:
             raise TooShortError(
                 f"series has {arr.size} samples; at least {MIN_LENGTH} required"
             )
         _require_finite(arr)
-        if self.sample_rate_hz is not None and not self.sample_rate_hz > 0:
-            raise DomainError("sample_rate_hz must be positive")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -123,10 +112,6 @@ class HCProfile:
     hc_max: float
     asymptotic_threshold: float
     max_rank: int
-
-    @property
-    def m(self) -> int:
-        return int(self.hc_values.size)
 
     def records(self) -> list[PValueRecord]:
         """Materialize the per-rank records (O(m); intended for small m)."""

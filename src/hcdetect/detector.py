@@ -17,7 +17,6 @@ import numpy as np
 
 from .cluster import ClusterModel, best_model, thresholds_from
 from .core import (
-    MIN_LENGTH,
     KurtosisReport,
     TimeSeries,
     _kurtosis_of,
@@ -109,9 +108,6 @@ class DetectionReport:
     per_threshold: tuple[tuple[float, tuple[Segment, ...]], ...]
     cluster_summary: ClusterSummary
 
-    def smallest_threshold_segments(self) -> tuple[Segment, ...]:
-        return self.per_threshold[0][1] if self.per_threshold else ()
-
 
 def localize(
     trigger_indices,
@@ -122,9 +118,12 @@ def localize(
     """Expand each trigger to [i - window, i + window] clipped to the
     series, merging touching or overlapping intervals, sorted by start.
 
-    ``scores`` (HC by time index, a mapping or an array indexed by time)
-    picks each merged segment's peak; without it the smallest trigger
-    index is the peak and its value is NaN.
+    Two neighbouring triggers share a segment when their gap is at most
+    2 * window + 1; clipping at 0 and m - 1 never changes that. ``scores``
+    (HC by time index, a mapping or an array indexed by time) picks each
+    segment's peak, its first maximum; a NaN first score makes the first
+    trigger the peak, and other NaN scores never win. Without scores the
+    first trigger is the peak and its value is NaN.
     """
     if window < 0:
         raise DomainError("window must be non-negative")
@@ -134,44 +133,29 @@ def localize(
     if idx[0] < 0 or idx[-1] >= m:
         bad = idx[0] if idx[0] < 0 else idx[-1]
         raise IndexOutOfRangeError(f"trigger index {bad} outside [0, {m})")
-
-    segments: list[Segment] = []
-    group: list[int] = [int(idx[0])]
-    start = max(0, int(idx[0]) - window)
-    end = min(m - 1, int(idx[0]) + window)
-    for t in idx[1:]:
-        lo = max(0, int(t) - window)
-        hi = min(m - 1, int(t) + window)
-        if lo <= end + 1:
-            end = max(end, hi)
-            group.append(int(t))
-        else:
-            segments.append(_finish_segment(start, end, group, scores))
-            start, end, group = lo, hi, [int(t)]
-    segments.append(_finish_segment(start, end, group, scores))
-    return segments
-
-
-def _finish_segment(
-    start: int,
-    end: int,
-    group: list[int],
-    scores: Mapping[int, float] | np.ndarray | None,
-) -> Segment:
+    trig = idx.tolist()
     if scores is None:
-        peak = group[0]
-        peak_hc = float("nan")
+        vals = np.full(idx.size, np.nan)
+    elif isinstance(scores, Mapping):
+        vals = np.array([scores[t] for t in trig], dtype=np.float64)
     else:
-        peak = group[0]
-        peak_hc = float(scores[peak])
-        for t in group[1:]:
-            v = float(scores[t])
-            if v > peak_hc:
-                peak, peak_hc = t, v
-    return Segment(
-        start=start, end=end, peak_index=peak, peak_hc=peak_hc,
-        triggers=tuple(group),
-    )
+        vals = np.asarray(scores, dtype=np.float64)[idx]
+    nan = np.isnan(vals)
+    ranked = np.where(nan, -np.inf, vals).tolist()
+
+    bounds = (np.flatnonzero(np.diff(idx) > 2 * window + 1) + 1).tolist()
+    segments: list[Segment] = []
+    for a, b in zip([0, *bounds], [*bounds, len(trig)]):
+        group = ranked[a:b]
+        peak = a if nan[a] else a + group.index(max(group))
+        segments.append(Segment(
+            start=max(0, trig[a] - window),
+            end=min(m - 1, trig[b - 1] + window),
+            peak_index=trig[peak],
+            peak_hc=float(vals[peak]),
+            triggers=tuple(trig[a:b]),
+        ))
+    return segments
 
 
 def mask(series: TimeSeries, segments: Sequence[Segment]) -> TimeSeries:
@@ -184,7 +168,7 @@ def mask(series: TimeSeries, segments: Sequence[Segment]) -> TimeSeries:
                 f"segment [{seg.start}, {seg.end}] outside [0, {m})"
             )
         out[seg.start : seg.end + 1] = series.values[seg.start : seg.end + 1]
-    return TimeSeries(values=out, sample_rate_hz=series.sample_rate_hz)
+    return TimeSeries(values=out)
 
 
 def _effective_thresholds(
@@ -206,15 +190,12 @@ def detect(series: TimeSeries, config: DetectionConfig | None = None) -> Detecti
     """
     config = config or DetectionConfig()
     m = len(series)
-    if m < max(MIN_LENGTH, config.k_max):
-        raise NoClustersError(
-            f"series of length {m} cannot support k_max={config.k_max} clusters"
-        )
     std = standardize(series)
     profile = hc_profile(std, config.restricted_rank_range)
     if profile.max_rank < config.k_max:
+        ranks = "ranks <= m/2" if config.restricted_rank_range else "all ranks"
         raise NoClustersError(
-            f"{profile.max_rank} HC values to cluster (ranks <= m/2 of"
+            f"{profile.max_rank} HC values to cluster ({ranks} of"
             f" m={m}) cannot support k_max={config.k_max} clusters"
         )
     kurt = _kurtosis_of(std.values, std.source_mean, std.source_sd)
@@ -225,13 +206,12 @@ def detect(series: TimeSeries, config: DetectionConfig | None = None) -> Detecti
     thresholds = _effective_thresholds(threshold_set.thresholds, config.min_threshold)
 
     times = profile.original_indices[: profile.max_rank]
-    hc = profile.hc_values[: profile.max_rank]
     scores = np.full(m, np.nan)
-    scores[times] = hc
+    scores[times] = points
 
     per_threshold = []
     for t in thresholds:
-        trig = times[hc > t]
+        trig = times[points > t]
         segs = localize(trig, config.window, m, scores=scores)
         per_threshold.append((float(t), tuple(segs)))
 

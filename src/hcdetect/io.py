@@ -85,7 +85,7 @@ def _parse_csv(text: str, column: int) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def ingest(spec: InputSpec, sample_rate_hz: float | None = None) -> TimeSeries:
+def ingest(spec: InputSpec) -> TimeSeries:
     """Decode the input file into a validated series."""
     if spec.format == "raw_f64_le":
         with open(spec.path, "rb") as fh:
@@ -96,13 +96,15 @@ def ingest(spec: InputSpec, sample_rate_hz: float | None = None) -> TimeSeries:
                 )
             data = np.fromfile(fh, dtype="<f8").astype(np.float64, copy=False)
         # TimeSeries rejects non-finite samples, naming the first index.
-        return TimeSeries(values=data, sample_rate_hz=sample_rate_hz)
-    text = spec.path.read_text(encoding="utf-8")
+        return TimeSeries(values=data)
+    # utf-8-sig drops a leading byte-order mark, which would otherwise make
+    # the first sample unparseable and be taken for the header.
+    text = spec.path.read_text(encoding="utf-8-sig")
     column = spec.channel
     if column is None:
         column = 1 if spec.format == "csv_time_value" else 0
     values = _parse_csv(text, column)
-    return TimeSeries(values=values, sample_rate_hz=sample_rate_hz)
+    return TimeSeries(values=values)
 
 
 def write_raw_f64(path: Path | str, values: np.ndarray) -> None:

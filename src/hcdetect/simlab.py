@@ -38,6 +38,11 @@ def default_m_grid(
     start: int = 100, stop: int = 1_000_000, points: int = 16
 ) -> tuple[int, ...]:
     """Geometric grid of sample sizes (deduplicated after rounding)."""
+    if start < 1 or stop < 1 or points < 1:
+        raise DomainError(
+            f"geometric grid needs START, STOP and POINTS >= 1, got"
+            f" {start}:{stop}:{points}"
+        )
     grid = np.unique(np.geomspace(start, stop, points).round().astype(np.int64))
     return tuple(int(g) for g in grid)
 

@@ -16,7 +16,12 @@ from hcdetect import (
     thresholds_from,
 )
 from hcdetect.cluster import ClusterModel
-from hcdetect.errors import DomainError, TooFewPointsError, UndefinedSilhouetteError
+from hcdetect.errors import (
+    DomainError,
+    NonFiniteError,
+    TooFewPointsError,
+    UndefinedSilhouetteError,
+)
 
 
 def exhaustive_contiguous_optimum(points: np.ndarray, k: int) -> float:
@@ -267,6 +272,27 @@ class TestThresholds:
         quarter = thresholds_from(model, points, factor=0.25)
         half = thresholds_from(model, points, factor=0.5)
         assert half.thresholds[0] == pytest.approx(quarter.thresholds[0] + 1.0)
+
+
+class TestNonFinitePoints:
+    @pytest.mark.parametrize("bad,index", [(np.nan, 3), (np.inf, 0), (-np.inf, 5)])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda pts: kmeans_1d(pts, k=2),
+            lambda pts: best_model(pts, 2, 3),
+            lambda pts: silhouette(pts, labelled_model([0, 0, 0, 1, 1, 1])),
+            lambda pts: thresholds_from(labelled_model([0, 0, 0, 1, 1, 1]), pts),
+        ],
+        ids=["kmeans_1d", "best_model", "silhouette", "thresholds_from"],
+    )
+    def test_names_the_index(self, call, bad, index):
+        points = np.array([0.0, 1.0, 2.0, 10.0, 11.0, 12.0])
+        points[index] = bad
+        with pytest.raises(NonFiniteError) as err:
+            call(points)
+        assert err.value.index == index
+        assert f"non-finite sample {bad} at index {index}" in str(err.value)
 
 
 def full_recompute_init(srt: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

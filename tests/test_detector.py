@@ -11,7 +11,86 @@ from hcdetect.detector import Segment
 from hcdetect.errors import IndexOutOfRangeError, NoClustersError
 
 
+def running_window_localize(trigger_indices, window, m, scores=None):
+    """The former ``localize``: a running-window merge over the sorted
+    unique triggers, peak by a strict ``>`` scan. Kept as the oracle."""
+    idx = sorted(set(int(i) for i in trigger_indices))
+    if not idx:
+        return []
+    segments = []
+    group = [idx[0]]
+    start = max(0, idx[0] - window)
+    end = min(m - 1, idx[0] + window)
+
+    def finish():
+        peak = group[0]
+        peak_hc = float("nan") if scores is None else float(scores[peak])
+        if scores is not None:
+            for t in group[1:]:
+                v = float(scores[t])
+                if v > peak_hc:
+                    peak, peak_hc = t, v
+        return Segment(start=start, end=end, peak_index=peak, peak_hc=peak_hc,
+                       triggers=tuple(group))
+
+    for t in idx[1:]:
+        lo = max(0, t - window)
+        hi = min(m - 1, t + window)
+        if lo <= end + 1:
+            end = max(end, hi)
+            group.append(t)
+        else:
+            segments.append(finish())
+            start, end, group = lo, hi, [t]
+    segments.append(finish())
+    return segments
+
+
+def _localize_case(rng):
+    """Triggers, window, m and scores for one seeded oracle case."""
+    window = int(rng.choice([0, 0, 1, 2, 3, int(rng.integers(0, 60))]))
+    m = int(rng.integers(1, 400))
+    n = int(rng.integers(1, 30))
+    steps = rng.choice(
+        [0, 1, 2 * window, 2 * window + 1, 2 * window + 2, 2 * window + 3],
+        size=n,
+    )
+    if rng.random() < 0.5:
+        steps = np.where(rng.random(n) < 0.3, rng.integers(0, 3 * window + 5, n), steps)
+    triggers = int(rng.integers(0, m)) + np.cumsum(steps) - steps[0]
+    triggers = triggers[triggers < m].tolist()
+    triggers += [0] * int(rng.random() < 0.2) + [m - 1] * int(rng.random() < 0.2)
+    if rng.random() < 0.3:  # duplicates
+        triggers += triggers[: int(rng.integers(1, len(triggers) + 1))]
+    rng.shuffle(triggers)
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        return triggers, window, m, None
+    values = rng.choice([-1.0, 0.0, 2.0, 5.0, np.inf, -np.inf, np.nan], size=m,
+                        p=[0.2, 0.2, 0.2, 0.2, 0.05, 0.05, 0.1])
+    if rng.random() < 0.5:
+        values = np.where(rng.random(m) < 0.5, rng.standard_normal(m), values)
+    if kind == 1:
+        return triggers, window, m, values
+    return triggers, window, m, {t: float(values[t]) for t in triggers}
+
+
+def _same_segments(a, b) -> bool:
+    # Segment equality compares peak_hc with ==, which NaN never passes.
+    key = lambda s: (s.start, s.end, s.peak_index, s.triggers,
+                     np.float64(s.peak_hc).tobytes())
+    return [key(s) for s in a] == [key(s) for s in b]
+
+
 class TestLocalize:
+    def test_gap_rule_matches_running_window_oracle(self):
+        rng = np.random.default_rng(20261019)
+        for case in range(12_000):
+            triggers, window, m, scores = _localize_case(rng)
+            got = localize(triggers, window, m, scores=scores)
+            want = running_window_localize(triggers, window, m, scores=scores)
+            assert _same_segments(got, want), (case, triggers, window, m)
+
     def test_single_trigger(self):
         segs = localize({100}, window=50, m=10_000)
         assert [(s.start, s.end) for s in segs] == [(50, 150)]
@@ -163,7 +242,10 @@ class TestDetect:
         )
 
     def test_too_short_for_clusters(self):
-        with pytest.raises(NoClustersError):
+        with pytest.raises(
+            NoClustersError,
+            match=r"^4 HC values to cluster \(all ranks of m=4\).*k_max=10",
+        ):
             detect(TimeSeries(values=[1.0, 2.0, 3.0, 4.0]))
 
     def test_restricted_ranks_guard_counts_the_clustered_points(self):
@@ -172,7 +254,10 @@ class TestDetect:
         series = TimeSeries(values=np.arange(12.0) ** 2)
         assert detect(series).cluster_summary.k >= 2
         config = DetectionConfig(restricted_rank_range=True)
-        with pytest.raises(NoClustersError, match=r"^6 HC values.*k_max=10"):
+        with pytest.raises(
+            NoClustersError,
+            match=r"^6 HC values to cluster \(ranks <= m/2 of m=12\).*k_max=10",
+        ):
             detect(series, config)
         assert detect(series, DetectionConfig(k_max=6, restricted_rank_range=True))
 

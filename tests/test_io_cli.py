@@ -149,6 +149,13 @@ class TestIngest:
             ingest(InputSpec(path=path))
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("header", ["", "value\n"])
+    def test_byte_order_mark_keeps_first_sample(self, tmp_path, header):
+        path = tmp_path / "x.csv"
+        path.write_bytes(("\ufeff" + header + "1.5\n2.0\n3.0\n4.5\n").encode("utf-8"))
+        series = ingest(InputSpec(path=path))
+        np.testing.assert_array_equal(series.values, [1.5, 2.0, 3.0, 4.5])
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("1.0\n2.0\n")
@@ -411,6 +418,17 @@ class TestCliSimulate:
         doc = json.loads(out.with_suffix(".json").read_text())
         jsonschema.validate(doc, _schema("curve.v1.json"))
 
+    @pytest.mark.parametrize("grid", ["geom:0:100:5", "geom:100:1000:-2"])
+    def test_geometric_grid_out_of_domain_exits_2(self, tmp_path, capsys, grid):
+        code = main(
+            [
+                "simulate-mean", "--mu", "1.0", "--m-grid", grid,
+                "--replicates", "2", "--out", str(tmp_path / "c.csv"),
+            ]
+        )
+        assert code == 2
+        assert "geometric grid" in capsys.readouterr().err
+
     def test_eps_zero_exits_2(self, tmp_path, capsys):
         code = main(
             [
@@ -488,6 +506,14 @@ class TestCliStats:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["kurtosis_raw"] > 4.0  # analytic Laplace kurtosis is 6
+
+    @pytest.mark.parametrize("command", ["stats", "detect"])
+    def test_sample_rate_is_not_an_option(self, tmp_path, command):
+        path = tmp_path / "x.csv"
+        path.write_text("1.0\n2.0\n3.0\n")
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--input", str(path), "--sample-rate", "30000"])
+        assert exit_.value.code == 2
 
     def test_constant_exits_2(self, tmp_path):
         path = tmp_path / "const.csv"

@@ -17,7 +17,7 @@ from hcdetect import (
     sample,
 )
 from hcdetect.errors import DomainError
-from hcdetect.simlab import _first_crossing
+from hcdetect.simlab import _first_crossing, default_m_grid
 
 
 class TestGeneratorSpec:
@@ -245,6 +245,14 @@ class TestBoundaryGrids:
 
 
 class TestSimConfig:
+    @pytest.mark.parametrize(
+        "start,stop,points", [(0, 100, 5), (-3, 100, 5), (100, 0, 5), (100, 1000, 0),
+                              (100, 1000, -2)]
+    )
+    def test_geometric_grid_bounds_are_domain_errors(self, start, stop, points):
+        with pytest.raises(DomainError, match="geometric grid"):
+            default_m_grid(start, stop, points)
+
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             SimConfig(m_grid=(100, 100))
