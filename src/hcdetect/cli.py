@@ -19,9 +19,9 @@ import traceback
 from dataclasses import asdict
 from pathlib import Path
 
-from . import __version__, core
-from .core import kurtosis, profile_series  # noqa: F401  (see _cmd_stats)
-from .detector import DetectionConfig, detect
+from . import __version__
+from .core import kurtosis, profile_series  # noqa: F401  (wrapped by perfbench/spans.py)
+from .detector import DetectionConfig, detect, mask, summarize
 from .errors import ValidationError
 from .io import (
     InputSpec,
@@ -33,7 +33,6 @@ from .io import (
     write_curve_csv,
     write_masked_csv,
 )
-from .detector import mask
 from .simlab import (
     SimConfig,
     boundary_grid_mean,
@@ -223,12 +222,7 @@ def _cmd_simulate_sparse(args) -> int:
 def _cmd_stats(args) -> int:
     spec = InputSpec(path=Path(args.input), format=args.format, channel=args.channel)
     series = ingest(spec)
-    # One standardization serves the profile and the kurtosis. The span
-    # recorder of perfbench/spans.py wraps standardize and hc_profile on
-    # ``core``, and kurtosis and profile_series under their names here.
-    std = core.standardize(series)
-    profile = core.hc_profile(std)
-    kurt = core._kurtosis_of(std.values, std.source_mean, std.source_sd)
+    profile, kurt = summarize(series)
     manifest = RunManifest.create(
         command="stats",
         config={"input_format": args.format, "channel": args.channel},

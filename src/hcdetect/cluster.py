@@ -25,6 +25,7 @@ k_max = k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -402,7 +403,8 @@ def thresholds_from(
     """One threshold per cluster: mean + factor * (max - min), ascending.
 
     ``factor`` defaults to the quarter-range rule; it is a knob because
-    sensitivity studies need one.
+    sensitivity studies need one. A threshold that overflows to infinity
+    raises ``DomainError`` naming its cluster.
     """
     arr = _check_points(points)
     _check_labels(arr, model)
@@ -414,7 +416,10 @@ def thresholds_from(
         lo = float(members.min())
         hi = float(members.max())
         mean = float(members.mean())
-        rows.append((mean + factor * (hi - lo), (lo, hi, mean)))
+        threshold = mean + factor * (hi - lo)
+        if not math.isfinite(threshold):
+            raise DomainError(f"threshold of cluster {j} is not finite ({threshold})")
+        rows.append((threshold, (lo, hi, mean)))
     rows.sort(key=lambda t: t[0])
     return ThresholdSet(
         thresholds=tuple(t for t, _ in rows),

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -77,12 +76,6 @@ class StandardizedSeries:
         return int(self.values.size)
 
 
-class PValueRecord(NamedTuple):
-    p: float
-    original_index: int
-    rank: int
-
-
 @dataclass(frozen=True)
 class KurtosisReport:
     """Fourth standardized moment, raw and excess (raw - 3), plus the
@@ -107,18 +100,10 @@ class HCProfile:
     """
 
     hc_values: np.ndarray
-    p_sorted: np.ndarray
     original_indices: np.ndarray
     hc_max: float
     asymptotic_threshold: float
     max_rank: int
-
-    def records(self) -> list[PValueRecord]:
-        """Materialize the per-rank records (O(m); intended for small m)."""
-        return [
-            PValueRecord(float(p), int(j), i + 1)
-            for i, (p, j) in enumerate(zip(self.p_sorted, self.original_indices))
-        ]
 
 
 def _power_sum(values: np.ndarray, exponent: int) -> float:
@@ -129,22 +114,26 @@ def _power_sum(values: np.ndarray, exponent: int) -> float:
     return math.fsum(map(pow, values.tolist(), repeat(exponent)))
 
 
-def _population_moments(arr: np.ndarray) -> tuple[float, float]:
-    m = arr.size
-    mean = math.fsum(arr) / m
-    var = _power_sum(arr - mean, 2) / m
-    return mean, math.sqrt(var)
-
-
 def standardize(series: TimeSeries) -> StandardizedSeries:
-    """Map a series to zero mean and unit population standard deviation."""
+    """Map a series to zero mean and unit population standard deviation.
+
+    Finite samples whose moments overflow float64 raise ``DomainError``.
+    """
     arr = series.values
-    mean, sd = _population_moments(arr)
-    if sd == 0.0 or not math.isfinite(sd):
+    try:
+        mean = math.fsum(arr) / arr.size
+        with np.errstate(over="ignore"):
+            dev = arr - mean
+        sd = math.sqrt(_power_sum(dev, 2) / arr.size)
+    except OverflowError:
+        sd = math.inf
+    if not math.isfinite(sd):
+        raise DomainError("the moments of the series overflow float64")
+    if sd == 0.0:
         raise ZeroVarianceError("series is constant; standard deviation is zero")
-    out = (arr - mean) / sd
-    out.setflags(write=False)
-    return StandardizedSeries(values=out, source_mean=mean, source_sd=sd)
+    dev /= sd
+    dev.setflags(write=False)
+    return StandardizedSeries(values=dev, source_mean=mean, source_sd=sd)
 
 
 def two_sided_p(x: float) -> float:
@@ -214,28 +203,23 @@ def tukey_hc(m: int, alpha: float, fraction: float) -> float:
     return math.sqrt(m) * (fraction - alpha) / math.sqrt(alpha * (1.0 - alpha))
 
 
-def _kurtosis_of(z: np.ndarray, mean: float, sd: float) -> KurtosisReport:
-    # z is (values - mean) / sd, as ``standardize`` returns it, so callers
-    # that hold a StandardizedSeries skip a second pass over the moments.
-    raw = _power_sum(z, 4) / z.size
-    return KurtosisReport(raw=raw, excess=raw - 3.0, mean=mean, sd=sd)
+def _kurtosis_of(std: StandardizedSeries) -> KurtosisReport:
+    raw = _power_sum(std.values, 4) / len(std)
+    return KurtosisReport(
+        raw=raw, excess=raw - 3.0, mean=std.source_mean, sd=std.source_sd
+    )
 
 
 def kurtosis(series: TimeSeries) -> KurtosisReport:
     """Population fourth standardized moment; excess subtracts 3 exactly."""
-    arr = series.values
-    mean, sd = _population_moments(arr)
-    if sd == 0.0:
-        raise ZeroVarianceError("series is constant; kurtosis is undefined")
-    return _kurtosis_of((arr - mean) / sd, mean, sd)
+    return _kurtosis_of(standardize(series))
 
 
 def _rank_order(p: np.ndarray, z: np.ndarray) -> np.ndarray:
     # Primary: p ascending. Ties (clamped extremes) keep the underlying
-    # tail ordering, i.e. larger |z| first; exact |z| ties fall back to
-    # time order. lexsort uses the last key as primary.
-    m = p.size
-    return np.lexsort((np.arange(m), -np.abs(z), p))
+    # tail ordering, i.e. larger |z| first; lexsort is stable, so exact
+    # |z| ties keep time order. lexsort uses the last key as primary.
+    return np.lexsort((-np.abs(z), p))
 
 
 def hc_profile(
@@ -253,17 +237,14 @@ def hc_profile(
         raise TooShortError(f"profile needs at least {MIN_LENGTH} samples")
     p = backend.two_sided_p(z)
     order = _rank_order(p, z)
-    p_sorted = p[order]
-    hc = hc_from_sorted_p(p_sorted)
+    hc = hc_from_sorted_p(p[order])
     max_rank = m // 2 if restricted_rank_range else m
     max_rank = max(max_rank, 1)
     hc_max = float(hc[:max_rank].max())
     hc.setflags(write=False)
-    p_sorted.setflags(write=False)
     order.setflags(write=False)
     return HCProfile(
         hc_values=hc,
-        p_sorted=p_sorted,
         original_indices=order,
         hc_max=hc_max,
         asymptotic_threshold=asymptotic_threshold(m),

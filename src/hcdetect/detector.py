@@ -17,6 +17,7 @@ import numpy as np
 
 from .cluster import ClusterModel, best_model, thresholds_from
 from .core import (
+    HCProfile,
     KurtosisReport,
     TimeSeries,
     _kurtosis_of,
@@ -180,6 +181,14 @@ def _effective_thresholds(
     return sorted([min_threshold] + kept)
 
 
+def summarize(
+    series: TimeSeries, restricted_rank_range: bool = False
+) -> tuple[HCProfile, KurtosisReport]:
+    """The HC profile and the kurtosis of one standardization."""
+    std = standardize(series)
+    return hc_profile(std, restricted_rank_range), _kurtosis_of(std)
+
+
 def detect(series: TimeSeries, config: DetectionConfig | None = None) -> DetectionReport:
     """Run the full pipeline and report segments for every threshold.
 
@@ -190,15 +199,13 @@ def detect(series: TimeSeries, config: DetectionConfig | None = None) -> Detecti
     """
     config = config or DetectionConfig()
     m = len(series)
-    std = standardize(series)
-    profile = hc_profile(std, config.restricted_rank_range)
+    profile, kurt = summarize(series, config.restricted_rank_range)
     if profile.max_rank < config.k_max:
         ranks = "ranks <= m/2" if config.restricted_rank_range else "all ranks"
         raise NoClustersError(
             f"{profile.max_rank} HC values to cluster ({ranks} of"
             f" m={m}) cannot support k_max={config.k_max} clusters"
         )
-    kurt = _kurtosis_of(std.values, std.source_mean, std.source_sd)
 
     points = profile.hc_values[: profile.max_rank]
     model = best_model(points, config.k_min, config.k_max, seed=config.seed)

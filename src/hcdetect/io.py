@@ -46,6 +46,8 @@ class InputSpec:
             )
         if self.channel is not None and self.channel < 0:
             raise ValidationError("channel must be non-negative")
+        if self.channel is not None and self.format == "raw_f64_le":
+            raise ValidationError("channel selects a CSV column; raw_f64_le has none")
 
 
 def _parse_csv(text: str, column: int) -> np.ndarray:
@@ -164,7 +166,8 @@ def fmt17(x: float) -> str:
 
 
 def dump_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Strict JSON: a NaN or infinity raises ``ValueError``."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def report_to_dict(report: DetectionReport, manifest: RunManifest) -> dict:

@@ -273,6 +273,15 @@ class TestThresholds:
         half = thresholds_from(model, points, factor=0.5)
         assert half.thresholds[0] == pytest.approx(quarter.thresholds[0] + 1.0)
 
+    @pytest.mark.parametrize("factor", [1e308, -1e308])
+    def test_non_finite_threshold_is_domain_error(self, factor):
+        # cluster 1 spans 0, so its threshold stays finite; cluster 0's
+        # range times the factor overflows
+        points = np.array([0.0, 4.0, 100.0, 100.0])
+        model = labelled_model([0, 0, 1, 1])
+        with pytest.raises(DomainError, match=r"threshold of cluster 0 is not finite"):
+            thresholds_from(model, points, factor=factor)
+
 
 class TestNonFinitePoints:
     @pytest.mark.parametrize("bad,index", [(np.nan, 3), (np.inf, 0), (-np.inf, 5)])

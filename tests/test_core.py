@@ -97,6 +97,26 @@ class TestStandardize:
         with pytest.raises(ZeroVarianceError):
             standardize(TimeSeries(values=[1.0, 1.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1e200, -1e200, 0.0, 1.0],  # the squared deviations overflow
+            [1.7e308, 1.7e308, -1.7e308],  # the sum of the samples overflows
+            [1.7e308, -1.7e308, -1.7e308],  # a deviation from the mean overflows
+        ],
+    )
+    def test_overflowing_moments_are_domain_errors(self, values):
+        series = TimeSeries(values=values)
+        for fn in (standardize, kurtosis):
+            with pytest.raises(DomainError, match="overflow float64"):
+                fn(series)
+
+    def test_values_are_deviations_over_sd_bitwise(self):
+        x = np.random.default_rng(8).standard_normal(5000) * 3.0 + 1e4
+        out = standardize(TimeSeries(values=x))
+        want = (x - out.source_mean) / out.source_sd
+        assert want.tobytes() == out.values.tobytes()
+
     def test_two_samples_too_short(self):
         # the minimum-length contract (m >= 3) wins over supporting pairs
         with pytest.raises(TooShortError):
@@ -238,7 +258,6 @@ class TestHcProfile:
         a = profile_series(TimeSeries(values=values))
         b = profile_series(TimeSeries(values=rng.permutation(values)))
         assert a.hc_max == b.hc_max
-        np.testing.assert_array_equal(a.p_sorted, b.p_sorted)
         np.testing.assert_array_equal(a.hc_values, b.hc_values)
 
     def test_affine_invariance_exact_for_binary_scale(self):
@@ -261,9 +280,10 @@ class TestHcProfile:
         values = np.concatenate(
             [np.linspace(-2, 2, 400), [1e6, -1e6, 3e5]]
         )
-        prof = profile_series(TimeSeries(values=values))
+        series = TimeSeries(values=values)
+        prof = profile_series(series)
         assert np.isfinite(prof.hc_values).all()
-        assert prof.p_sorted.min() >= P_FLOOR
+        assert backend.two_sided_p(standardize(series).values).min() >= P_FLOOR
 
     def test_permutation_maps_ranks_to_time(self):
         rng = np.random.default_rng(14)
@@ -274,12 +294,17 @@ class TestHcProfile:
         order = np.sort(prof.original_indices)
         np.testing.assert_array_equal(order, np.arange(values.size))
 
-    def test_records_round_trip(self):
-        prof = profile_series(TimeSeries(values=[0.5, -2.0, 0.1, 3.0, -0.4]))
-        records = prof.records()
-        assert [r.rank for r in records] == [1, 2, 3, 4, 5]
-        assert sorted(r.original_index for r in records) == list(range(5))
-        assert all(a.p <= b.p for a, b in zip(records, records[1:]))
+    def test_exact_ties_keep_time_order(self):
+        # rounding makes many samples share |z| (and p): within such a tie
+        # the ranks must follow time order
+        values = np.round(np.random.default_rng(16).standard_normal(3000), 1)
+        values[::97] = 40.0  # ties pinned at the p-value floor
+        series = TimeSeries(values=values)
+        prof = profile_series(series)
+        z = standardize(series).values
+        p = backend.two_sided_p(z)
+        want = np.lexsort((np.arange(z.size), -np.abs(z), p))
+        np.testing.assert_array_equal(prof.original_indices, want)
 
     def test_restricted_range_uses_lower_half(self):
         rng = np.random.default_rng(15)

@@ -9,16 +9,17 @@ import numpy as np
 import pytest
 
 from conftest import inject_spikes, spaced_locations
-from hcdetect import TimeSeries, cli, kurtosis, mask, standardize
+from hcdetect import TimeSeries, cli, detect, kurtosis, mask, standardize
 from hcdetect.cli import main
 from hcdetect.detector import Segment
-from hcdetect.errors import NonFiniteError, ParseError
+from hcdetect.errors import NonFiniteError, ParseError, ValidationError
 from hcdetect.io import (
     InputSpec,
     RunManifest,
     _manifest_comment,
     _parse_csv,
     csv_payload,
+    dump_json,
     fmt17,
     ingest,
     json_payload,
@@ -77,6 +78,15 @@ def _schema(name):
 
     path = Path(hcdetect.__file__).parent / "schemas" / name
     return json.loads(path.read_text())
+
+
+def strict_json(text: str):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestIngest:
@@ -155,6 +165,10 @@ class TestIngest:
         path.write_bytes(("\ufeff" + header + "1.5\n2.0\n3.0\n4.5\n").encode("utf-8"))
         series = ingest(InputSpec(path=path))
         np.testing.assert_array_equal(series.values, [1.5, 2.0, 3.0, 4.5])
+
+    def test_channel_is_rejected_for_raw_input(self, tmp_path):
+        with pytest.raises(ValidationError, match="raw_f64_le"):
+            InputSpec(path=tmp_path / "x.bin", format="raw_f64_le", channel=0)
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -358,12 +372,19 @@ class TestCliDetect:
     def test_report_is_strict_json(self, tmp_path, capsys):
         path = _write_noise_csv(tmp_path, 500)
         assert main(["detect", "--input", str(path), "--min-threshold", "2.5"]) == 0
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
-        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        doc = strict_json(capsys.readouterr().out)
         assert doc["thresholds"][0]["value"] == 2.5
+
+    def test_non_finite_threshold_exits_2(self, tmp_path, capsys):
+        # before the check, this run wrote "value": Infinity into the report
+        path = _write_noise_csv(tmp_path, 5000)
+        out = tmp_path / "report.json"
+        code = main(
+            ["detect", "--input", str(path), "--eq1-factor", "1e308", "--out", str(out)]
+        )
+        assert code == 2
+        assert "is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code = main(["detect", "--input", str(tmp_path / "absent.csv")])
@@ -542,6 +563,29 @@ class TestCliStats:
         assert main(argv) == 2
         assert f"at index {index}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["stats", "detect"])
+    @pytest.mark.parametrize(
+        "values", [[1e200, -1e200, 0.0, 1.0], [1.7e308, 1.7e308, -1.7e308]]
+    )
+    def test_moment_overflow_exits_2(self, tmp_path, capsys, command, values):
+        path = tmp_path / "x.bin"
+        write_raw_f64(path, np.array(values))
+        argv = [command, "--input", str(path), "--format", "raw_f64_le"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "moments of the series overflow float64" in captured.err
+
+    @pytest.mark.parametrize("command", ["stats", "detect"])
+    def test_channel_with_raw_input_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "x.bin"
+        write_raw_f64(path, np.random.default_rng(4).standard_normal(1000))
+        argv = [command, "--input", str(path), "--format", "raw_f64_le"]
+        assert main(argv + ["--channel", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "raw_f64_le" in captured.err
+
     def test_mean_sd_are_the_compensated_moments(self, tmp_path, capsys):
         # with this seed np.mean and np.std both differ from the
         # compensated moments in the last bits
@@ -572,6 +616,60 @@ class TestCliStats:
         assert (doc["mean"], doc["sd"], doc["kurtosis_raw"], doc["kurtosis_excess"]) == (
             report.mean, report.sd, report.raw, report.excess
         )
+
+    def test_stats_detect_and_kurtosis_agree_on_criterion_4_seed_16(
+        self, tmp_path, capsys
+    ):
+        # the criterion-4 input whose kurtosis numpy's ``** 4`` moved by
+        # one ulp
+        path, _ = _write_spiked_csv(tmp_path, seed=16)
+        series = ingest(InputSpec(path=path))
+        want = kurtosis(series)
+        assert detect(series).kurtosis == want
+        assert main(["stats", "--input", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["mean"], doc["sd"], doc["kurtosis_raw"], doc["kurtosis_excess"]) == (
+            want.mean, want.sd, want.raw, want.excess
+        )
+
+
+class TestStrictJsonArtifacts:
+    def test_dump_json_rejects_non_finite_numbers(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                dump_json({"value": bad})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect"],
+            ["detect", "--restricted-ranks", "--k-max", "4", "--min-threshold", "2.5"],
+            ["stats"],
+        ],
+        ids=["detect", "detect-restricted", "stats"],
+    )
+    def test_series_commands(self, tmp_path, capsys, argv):
+        path, _ = _write_spiked_csv(tmp_path, m=5000, count=2)
+        assert main(argv + ["--input", str(path)]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["manifest"]["command"] == argv[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate-mean", "--mu", "0.0,1.0"],
+            ["simulate-sparse", "--eps", "0.05,0.2", "--mu", "1.0,3.0"],
+        ],
+        ids=["simulate-mean", "simulate-sparse"],
+    )
+    def test_simulate_commands(self, tmp_path, argv):
+        out = tmp_path / "curve.csv"
+        code = main(
+            argv + ["--m-grid", "100,300,1000", "--replicates", "4", "--out", str(out)]
+        )
+        assert code == 0
+        doc = strict_json(out.with_suffix(".json").read_text())
+        assert doc["manifest"]["command"] == argv[0]
 
 
 class TestManifest:
