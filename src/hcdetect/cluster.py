@@ -13,11 +13,16 @@ One search serves every k up to ``k_max``. The DP's row for c clusters
 rows 1..k_max gives each k's cuts (Wang & Song, "Ckmeans.1d.dp", R
 Journal 2011). D^2 seeding (Arthur & Vassilvitskii, SODA 2007) draws
 centres one at a time, so the first k of a restart's k_max picks are its
-seeding for k.
+seeding for k. On sorted values a new centre can lower the squared
+distances only between its nearest earlier centres, so each draw
+refreshes that slice alone and extends the running cumsum of the
+distances only as far as its target; the picks are the bits of a full
+recompute.
 Contiguity also makes the silhouette score exactly computable with prefix
 sums instead of the quadratic pairwise form: O(m k) when the clusters
 occupy disjoint ranges, as they do unless a cut splits tied values, and
-O(m k log m) otherwise.
+O(m k log m) otherwise. It runs on blocks of ``_BLOCK`` points, so its
+temporaries stay cache-sized.
 ``best_model`` sets up once (finiteness check, stable sort, prefix sums)
 and fits every k from that search; ``kmeans_1d`` is the search with
 k_max = k.
@@ -41,6 +46,7 @@ from .errors import (
 DEFAULT_RESTARTS = 10
 MAX_ITER = 300
 EXACT_SIZE_LIMIT = 512
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -91,8 +97,16 @@ def _d2_picks(srt: np.ndarray, k: int, seed: int) -> np.ndarray:
 
     Each pick after the first is drawn from the squared distances to the
     earlier ones, so a row's first k' picks, sorted, are that restart's
-    seeding for k' clusters. np.square is what ``** 2`` computes, bit for
-    bit; three buffers serve every restart.
+    seeding for k' clusters. The draws return the bits of a full
+    recompute (np.square is what ``** 2`` computes) with less work:
+
+    - A new pick c can lower d2 only strictly between the nearest earlier
+      picks below and above it: past an earlier pick c', x - c rounds no
+      nearer to zero than x - c' (rounding is monotone), so its square is
+      no smaller. Only that slice is refreshed.
+    - ``cs[:valid]`` is the sequential cumsum of d2, kept across draws. A
+      refresh lowers ``valid`` to the first index it lowered, and a draw
+      extends ``cs`` block by block only until it passes the target.
     """
     m = srt.size
     d2, cs, sq = np.empty((3, m))
@@ -102,19 +116,51 @@ def _d2_picks(srt: np.ndarray, k: int, seed: int) -> np.ndarray:
         row[0] = srt[rng.integers(m)]
         np.subtract(srt, row[0], out=d2)
         np.square(d2, out=d2)
+        valid = 0
         for j in range(1, k):
             total = d2.sum()
             if total > 0.0:
-                np.cumsum(d2, out=cs)
-                pos = min(int(np.searchsorted(cs, rng.random() * total)), m - 1)
+                target = rng.random() * total
+                # `not >=`: a NaN target (0 * inf) extends to the end, where
+                # searchsorted puts it, as on the full cumsum
+                while valid < m and (valid == 0 or not cs[valid - 1] >= target):
+                    valid = _extend_cumsum(d2, cs, valid)
+                pos = min(int(np.searchsorted(cs[:valid], target)), m - 1)
             else:
                 pos = int(rng.integers(m))
-            row[j] = srt[pos]
+            c = row[j] = srt[pos]
             if j + 1 < k:
-                np.subtract(srt, row[j], out=sq)
-                np.square(sq, out=sq)
-                np.minimum(d2, sq, out=d2)
+                below = [p for p in row[:j] if p <= c]
+                above = [p for p in row[:j] if p >= c]
+                lo = int(np.searchsorted(srt, max(below), "right")) if below else 0
+                hi = int(np.searchsorted(srt, min(above), "left")) if above else m
+                if lo >= hi:
+                    continue
+                seg, new = d2[lo:hi], sq[: hi - lo]
+                np.subtract(srt[lo:hi], c, out=new)
+                np.square(new, out=new)
+                lowered = np.less(new, seg)
+                first = int(lowered.argmax())
+                if lowered[first]:
+                    np.minimum(seg, new, out=seg)
+                    valid = min(valid, lo + first)
     return picks
+
+
+def _extend_cumsum(d2: np.ndarray, cs: np.ndarray, valid: int) -> int:
+    """Extend the cumsum ``cs[:valid]`` of d2 by one ``_BLOCK`` and return
+    the new length. The block's accumulate starts from ``cs[valid - 1]``,
+    parked in ``d2[valid - 1]`` meanwhile, so every sum is the one the
+    full sequential cumsum makes."""
+    end = min(valid + _BLOCK, d2.size)
+    if valid == 0:
+        np.cumsum(d2[:end], out=cs[:end])
+        return end
+    kept = d2[valid - 1]
+    d2[valid - 1] = cs[valid - 1]
+    np.cumsum(d2[valid - 1 : end], out=cs[valid - 1 : end])
+    d2[valid - 1] = kept
+    return end
 
 
 def _lloyd(
@@ -218,37 +264,44 @@ def _silhouette_of(clusters: list[np.ndarray]) -> float:
         n = cl.size
         if n == 1:
             continue
-        # Float ranks give the same products as integer ones (exact below
-        # 2**53). In-place steps keep the temporaries few: on a spiky
-        # recording one cluster holds nearly every point, and its
-        # silhouette sets the peak memory of detect.
-        r = np.arange(1.0, n + 1.0)
         s = prefs[j]
-        a = (r * cl - s[1:]) + ((s[n] - s[1:]) - (n - r) * cl)
-        a /= n - 1
-        del r
-        b = np.full(n, np.inf)
-        for h, other in enumerate(clusters):
-            if h == j:
-                continue
-            so = prefs[h]
-            no = other.size
-            # Disjoint ranges (every fit that cuts no run of tied values)
-            # put all of `other` on one side of `cl`: the general form
-            # below then reduces exactly, up to the sign of a zero, to one
-            # term.
-            if other[-1] < cl[0]:
-                d = no * cl - so[no]
-            elif other[0] >= cl[-1]:
-                d = so[no] - no * cl
-            else:
-                q = np.searchsorted(other, cl)
-                d = (q * cl - so[q]) + ((so[no] - so[q]) - (no - q) * cl)
-            d /= no
-            np.minimum(b, d, out=b)
-        denom = np.maximum(a, b)
-        b -= a  # the score numerator, in place
-        scores = np.divide(b, denom, out=np.zeros(n), where=denom > 0.0)
+        # On a spiky recording one cluster holds nearly every point, and
+        # its silhouette sets the peak memory of detect: the expressions
+        # run on blocks of _BLOCK points, and one .sum() over all n scores
+        # keeps numpy's pairwise order.
+        scores = np.zeros(n)
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            x = cl[lo:hi]
+            sx = s[lo + 1 : hi + 1]
+            # Float ranks give the same products as integer ones (exact
+            # below 2**53).
+            r = np.arange(lo + 1.0, hi + 1.0)
+            a = (r * x - sx) + ((s[n] - sx) - (n - r) * x)
+            a /= n - 1
+            b = np.full(hi - lo, np.inf)
+            for h, other in enumerate(clusters):
+                if h == j:
+                    continue
+                so = prefs[h]
+                no = other.size
+                # Disjoint ranges (every fit that cuts no run of tied
+                # values) put all of `other` on one side of `cl`: the
+                # general form below then reduces exactly, up to the sign
+                # of a zero, to one term. The test reads the ends of the
+                # whole cluster, so every block takes the same branch.
+                if other[-1] < cl[0]:
+                    d = no * x - so[no]
+                elif other[0] >= cl[-1]:
+                    d = so[no] - no * x
+                else:
+                    q = np.searchsorted(other, x)
+                    d = (q * x - so[q]) + ((so[no] - so[q]) - (no - q) * x)
+                d /= no
+                np.minimum(b, d, out=b)
+            denom = np.maximum(a, b)
+            b -= a  # the score numerator, in place
+            np.divide(b, denom, out=scores[lo:hi], where=denom > 0.0)
         total += float(scores.sum())
     return total / sum(c.size for c in clusters)
 

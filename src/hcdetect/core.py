@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -110,8 +110,14 @@ def _power_sum(values: np.ndarray, exponent: int) -> float:
     # Builtin pow on Python floats is the libm pow that ``x ** exponent``
     # calls, so every term matches the Python-float form bit for bit;
     # numpy's power and square round some terms differently in the last
-    # bit, which can move the compensated sum.
-    return math.fsum(map(pow, values.tolist(), repeat(exponent)))
+    # bit, which can move the compensated sum. The one fsum reads the
+    # terms in order from 2**16-sample chunks, so only one chunk at a time
+    # is a list of Python floats.
+    step = 1 << 16
+    chunks = (values[i : i + step].tolist() for i in range(0, values.size, step))
+    return math.fsum(
+        chain.from_iterable(map(pow, chunk, repeat(exponent)) for chunk in chunks)
+    )
 
 
 def standardize(series: TimeSeries) -> StandardizedSeries:

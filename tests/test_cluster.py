@@ -1,7 +1,9 @@
 """Clustering: worked examples, the exhaustive contiguous-partition oracle,
 the quadratic silhouette oracle, and determinism."""
 
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +74,20 @@ def brute_force_silhouette(points: np.ndarray, assignment: np.ndarray) -> float:
             b = min(b, np.abs(points[mask] - points[i]).mean())
         scores[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
     return float(scores.mean())
+
+
+class AtSmallBlocks:
+    """Mixin: run every test of the class with ``_BLOCK`` at 7 and at 64,
+    so block seams fall inside every oracle input. (Class scope keeps
+    hypothesis's per-example fixture check quiet.)"""
+
+    @pytest.fixture(autouse=True, scope="class", params=[7, 64], ids=["block7", "block64"])
+    def small_block(self, request):
+        from hcdetect import cluster
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cluster, "_BLOCK", request.param)
+            yield
 
 
 class TestKmeans:
@@ -352,6 +368,51 @@ def searchsorted_silhouette(clusters: list[np.ndarray]) -> float:
     return total / sum(c.size for c in clusters)
 
 
+def unblocked_silhouette(clusters: list[np.ndarray]) -> float:
+    """``_silhouette_of`` with each cluster's expressions evaluated on the
+    whole cluster at once: the oracle, bit for bit, for its blocks."""
+    prefs = [np.concatenate(([0.0], np.cumsum(c))) for c in clusters]
+    total = 0.0
+    for j, cl in enumerate(clusters):
+        n = cl.size
+        if n == 1:
+            continue
+        r = np.arange(1.0, n + 1.0)
+        s = prefs[j]
+        a = (r * cl - s[1:]) + ((s[n] - s[1:]) - (n - r) * cl)
+        a /= n - 1
+        b = np.full(n, np.inf)
+        for h, other in enumerate(clusters):
+            if h == j:
+                continue
+            so = prefs[h]
+            no = other.size
+            if other[-1] < cl[0]:
+                d = no * cl - so[no]
+            elif other[0] >= cl[-1]:
+                d = so[no] - no * cl
+            else:
+                q = np.searchsorted(other, cl)
+                d = (q * cl - so[q]) + ((so[no] - so[q]) - (no - q) * cl)
+            d /= no
+            np.minimum(b, d, out=b)
+        denom = np.maximum(a, b)
+        b -= a
+        scores = np.divide(b, denom, out=np.zeros(n), where=denom > 0.0)
+        total += float(scores.sum())
+    return total / sum(c.size for c in clusters)
+
+
+def _spiky_profile(m: int, seed: int) -> np.ndarray:
+    """HC values of a unit-noise series with a +12 spike per 1000 samples."""
+    from hcdetect.core import TimeSeries, hc_profile, standardize
+
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(m)
+    x[rng.choice(m, m // 1000, replace=False)] += 12.0
+    return hc_profile(standardize(TimeSeries(x))).hc_values.copy()
+
+
 def _seeding_inputs() -> dict[str, np.ndarray]:
     from hcdetect.cluster import EXACT_SIZE_LIMIT
     from hcdetect.core import TimeSeries, hc_profile, standardize
@@ -368,24 +429,65 @@ def _seeding_inputs() -> dict[str, np.ndarray]:
     }
 
 
+def assert_picks_match_full_recompute(srt: np.ndarray, seeds, label) -> None:
+    from hcdetect.cluster import DEFAULT_RESTARTS, _d2_picks
+
+    for seed in seeds:
+        picks = _d2_picks(srt, 10, seed)
+        assert picks.shape == (DEFAULT_RESTARTS, 10)
+        for r, row in enumerate(picks):
+            for k in range(1, 11):
+                want = full_recompute_init(srt, k, np.random.default_rng((seed, r)))
+                assert np.array_equal(np.sort(row[:k]), want), (label, seed, r, k)
+
+
+_default_rng = np.random.default_rng
+
+
+class ZeroDraws:
+    """A generator whose ``random()`` is 0.0, so a draw's target is
+    0 * total: NaN once the total overflows to inf."""
+
+    def __init__(self, *args):
+        self._rng = _default_rng(*args)
+
+    def integers(self, *args):
+        return self._rng.integers(*args)
+
+    def random(self):
+        return 0.0
+
+
 class TestCellLocalSeeding:
     """One pick sequence per restart seeds every k: its sorted first k
     picks are the D^2 seeding for k, recomputed from scratch."""
 
     @pytest.mark.parametrize("name", sorted(_seeding_inputs()))
     def test_matches_full_recompute_bit_for_bit(self, name):
-        from hcdetect.cluster import DEFAULT_RESTARTS, _d2_picks
-
         srt = np.sort(_seeding_inputs()[name])
-        for seed in range(3):
-            picks = _d2_picks(srt, 10, seed)
-            assert picks.shape == (DEFAULT_RESTARTS, 10)
-            for r, row in enumerate(picks):
-                for k in range(1, 11):
-                    want = full_recompute_init(
-                        srt, k, np.random.default_rng((seed, r))
-                    )
-                    assert np.array_equal(np.sort(row[:k]), want), (name, seed, r, k)
+        assert_picks_match_full_recompute(srt, range(3), name)
+
+    @pytest.mark.parametrize("draws", ["uniform", "zero"])
+    def test_draws_whose_total_overflows(self, monkeypatch, draws):
+        # Squared distances across the two groups overflow to inf, so the
+        # total is inf and the target inf, or NaN when the draw is 0.0.
+        rng = np.random.default_rng(59)
+        srt = np.sort(
+            np.concatenate(
+                [1e200 + 1e185 * rng.standard_normal(600), -1e200 * rng.random(600)]
+            )
+        )
+        if draws == "zero":
+            monkeypatch.setattr(np.random, "default_rng", ZeroDraws)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_picks_match_full_recompute(srt, range(2), draws)
+        if draws == "zero":
+            from hcdetect.cluster import _d2_picks
+
+            with np.errstate(over="ignore", invalid="ignore"):
+                picks = _d2_picks(srt, 10, 0)
+            # a NaN target sorts past the end of the cumsum: the last point
+            assert (picks[:, 1] == srt[-1]).all()
 
 
 class TestOneSearchPerBestModel:
@@ -513,20 +615,86 @@ class TestSilhouetteShortcuts:
         assert silhouette(points, model) == searchsorted_silhouette(clusters)
 
     def test_overlapping_clusters_match_searchsorted_form(self):
-        rng = np.random.default_rng(17)
-        points = rng.standard_normal(300)
-        assignment = rng.integers(0, 4, points.size)
-        assignment[:4] = np.arange(4)
-        model = ClusterModel(
-            k=4,
-            centroids=np.zeros(4),
-            assignment=assignment,
-            inertia=0.0,
-            silhouette=None,
-            seed=0,
-        )
-        clusters = [np.sort(points[assignment == j]) for j in range(4)]
+        points, model = overlapping_model(300, seed=17)
+        clusters = [np.sort(points[model.assignment == j]) for j in range(4)]
         assert silhouette(points, model) == searchsorted_silhouette(clusters)
+
+
+def overlapping_model(m: int, seed: int) -> tuple[np.ndarray, ClusterModel]:
+    """Normal points with random labels 0..3: four overlapping clusters."""
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal(m)
+    assignment = rng.integers(0, 4, points.size)
+    assignment[:4] = np.arange(4)
+    model = ClusterModel(
+        k=4,
+        centroids=np.zeros(4),
+        assignment=assignment,
+        inertia=0.0,
+        silhouette=None,
+        seed=0,
+    )
+    return points, model
+
+
+def assert_fits_match_unblocked(points: np.ndarray, seed: int, label) -> None:
+    from hcdetect.cluster import _fit_range, _sorted_setup
+
+    _, srt, pref, pref2 = _sorted_setup(points)
+    for fit in _fit_range(srt, pref, pref2, 2, 10, seed):
+        cuts = fit.cuts
+        want = unblocked_silhouette([srt[a:b] for a, b in zip(cuts[:-1], cuts[1:])])
+        assert fit.silhouette == want, (label, cuts.size - 1)
+
+
+class TestBlockedSilhouette:
+    """The silhouette runs each cluster's expressions block by block; the
+    whole-cluster form is its bit-for-bit oracle."""
+
+    @pytest.mark.parametrize("name", sorted(_seeding_inputs()))
+    def test_fits_match_unblocked(self, name):
+        assert_fits_match_unblocked(_seeding_inputs()[name], 3, name)
+
+    def test_overlapping_clusters_match_unblocked(self):
+        points, model = overlapping_model(2000, seed=19)
+        clusters = [np.sort(points[model.assignment == j]) for j in range(4)]
+        assert silhouette(points, model) == unblocked_silhouette(clusters)
+
+
+class TestCellLocalSeedingAtSmallBlocks(AtSmallBlocks, TestCellLocalSeeding):
+    pass
+
+
+class TestSilhouetteAtSmallBlocks(AtSmallBlocks, TestSilhouette):
+    pass
+
+
+class TestSilhouetteShortcutsAtSmallBlocks(AtSmallBlocks, TestSilhouetteShortcuts):
+    pass
+
+
+class TestBlockedSilhouetteAtSmallBlocks(AtSmallBlocks, TestBlockedSilhouette):
+    pass
+
+
+class TestDefaultBlockSeams:
+    """Every other oracle input fits in one default block; these hold
+    3 * _BLOCK + 11 points."""
+
+    def test_picks_match_full_recompute(self):
+        from hcdetect.cluster import _BLOCK
+
+        srt = np.sort(_spiky_profile(3 * _BLOCK + 11, seed=43))
+        assert_picks_match_full_recompute(srt, range(2), "spiky")
+
+    def test_silhouettes_match_unblocked(self):
+        from hcdetect.cluster import _BLOCK
+
+        m = 3 * _BLOCK + 11
+        assert_fits_match_unblocked(_spiky_profile(m, seed=43), 0, "spiky")
+        points, model = overlapping_model(m, seed=23)
+        clusters = [np.sort(points[model.assignment == j]) for j in range(4)]
+        assert silhouette(points, model) == unblocked_silhouette(clusters)
 
 
 def kmeans_loop_best(points, k_min, k_max, seed):
@@ -587,3 +755,39 @@ class TestBestModelSortsOnce:
         assert best.inertia == direct.inertia
         assert best.silhouette == direct.silhouette
         assert not best.assignment.flags.writeable
+
+
+class TestBestModelGolden:
+    def test_spiky_input_pinned(self):
+        # Uniform bulk plus a ramp of 100 spikes, made from uniform draws
+        # and exact products only, so the input has the same bits on every
+        # host. The pinned values are the fit of the unblocked silhouette
+        # and the full-recompute D^2 draws.
+        rng = np.random.default_rng(2024)
+        points = rng.random(50_000) * 4.0
+        spikes = rng.choice(points.size, 100, replace=False)
+        points[spikes] = 1e3 * np.arange(1.0, 101.0) ** 2
+        model = best_model(points, 2, 10, seed=0)
+        assert model.k == 2
+        assert [c.hex() for c in model.centroids] == [
+            "0x1.2d58148d0ef3fp+10",
+            "0x1.81f4b00000000p+22",
+        ]
+        assert model.inertia.hex() == "0x1.0886569ece91ep+48"
+        assert model.silhouette.hex() == "0x1.ff923366e77fbp-1"
+        assert (
+            hashlib.sha256(model.assignment.tobytes()).hexdigest()
+            == "03bef9bd892031db94bf47171fcc6ff9be116ad8968eafd5a23ab7a61cededfc"
+        )
+
+
+class TestBestModelMemory:
+    def test_live_peak_below_eight_times_the_input(self):
+        points = _spiky_profile(1 << 18, seed=47)
+        tracemalloc.start()
+        try:
+            best_model(points, 2, 10, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * points.nbytes, peak / points.nbytes

@@ -1,6 +1,7 @@
 """Statistical kernel: worked examples and invariants."""
 
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hcdetect import (
     tukey_hc,
 )
 from hcdetect import _purekernels, backend
-from hcdetect.core import P_FLOOR
+from hcdetect.core import P_FLOOR, _power_sum
 from hcdetect.errors import (
     DomainError,
     NonFiniteError,
@@ -249,6 +250,25 @@ class TestKurtosis:
     def test_excess_identity(self, values):
         report = kurtosis(TimeSeries(values=values))
         assert report.raw - report.excess == 3.0
+
+
+class TestPowerSum:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.zeros(0),
+            np.random.default_rng(21).standard_normal(1),
+            np.random.default_rng(22).standard_normal(1 << 16),
+            np.random.default_rng(23).standard_normal((1 << 16) + 1) * 1e3,
+            np.random.default_rng(24).standard_cauchy(3 * (1 << 16) + 5),
+            _criterion_4_input(seed=16),
+        ],
+        ids=["empty", "one", "one_chunk", "chunk_plus_one", "cauchy", "spiky"],
+    )
+    @pytest.mark.parametrize("exponent", [2, 4])
+    def test_chunks_match_whole_list_form_exactly(self, values, exponent):
+        want = math.fsum(map(pow, values.tolist(), repeat(exponent)))
+        assert _power_sum(values, exponent) == want
 
 
 class TestHcProfile:
