@@ -21,11 +21,18 @@ recompute.
 Contiguity also makes the silhouette score exactly computable with prefix
 sums instead of the quadratic pairwise form: O(m k) when the clusters
 occupy disjoint ranges, as they do unless a cut splits tied values, and
-O(m k log m) otherwise. It runs on blocks of ``_BLOCK`` points, so its
-temporaries stay cache-sized.
-``best_model`` sets up once (finiteness check, stable sort, prefix sums)
-and fits every k from that search; ``kmeans_1d`` is the search with
-k_max = k.
+O(m k log m) otherwise. b is the mean distance to the nearest other
+cluster (Rousseeuw, J. Comput. Appl. Math. 1987), and to a disjoint
+cluster that distance is monotone in x, so its values at a cluster's two
+ends bound it over the whole cluster. A disjoint cluster whose smaller end
+value exceeds the least larger end value can never be nearest and is not
+visited; on a spiky recording that leaves the bulk cluster, nearly every
+point, one other cluster to visit instead of k - 1. The silhouette runs on
+blocks of ``_BLOCK`` points, so its temporaries stay cache-sized.
+``best_model`` sets up once (finiteness check, sort, prefix sums) and fits
+every k from that search; ``kmeans_1d`` is the search with k_max = k. The
+sort is ``core._exact_order``: numpy's unstable SIMD argsort with its
+ties put back in index order, the order of a stable sort.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _require_finite
+from .core import _exact_order, _require_finite
 from .errors import (
     DomainError,
     TooFewPointsError,
@@ -251,12 +258,65 @@ def _exact_cuts(
     return out
 
 
+def _mean_distance(
+    x: np.ndarray, other: np.ndarray, so: np.ndarray, side: int
+) -> np.ndarray:
+    """Mean distance from each x to the sorted cluster ``other``, with
+    prefix sums ``so``, that lies on ``side`` of every x: -1 wholly below,
+    1 wholly above, 0 either. On one side the general form reduces exactly,
+    up to the sign of a zero, to one term, monotone in x."""
+    no = other.size
+    if side < 0:
+        d = no * x - so[no]
+    elif side > 0:
+        d = so[no] - no * x
+    else:
+        q = np.searchsorted(other, x)
+        d = (q * x - so[q]) + ((so[no] - so[q]) - (no - q) * x)
+    d /= no
+    return d
+
+
+def _rivals(
+    clusters: list[np.ndarray], prefs: list[np.ndarray], j: int
+) -> list[tuple[int, int]]:
+    """The other clusters that can hold b(x) for some x in cluster j, each
+    with its side of cluster j (see ``_mean_distance``).
+
+    Disjoint ranges (every fit that cuts no run of tied values) put a
+    cluster wholly on one side, so its mean distance over cluster j lies
+    between the values at cl[0] and cl[-1]. The least of the larger end
+    values bounds b from above everywhere in cluster j; a disjoint cluster
+    whose smaller end value exceeds that bound never sets b and is left
+    out. Overlapping clusters are always kept, and a NaN end value fails
+    every comparison, so it leaves nothing out.
+    """
+    cl = clusters[j]
+    ends = np.array([cl[0], cl[-1]])
+    rivals, values = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h, other in enumerate(clusters):
+            if h == j:
+                continue
+            side = -1 if other[-1] < cl[0] else 1 if other[0] >= cl[-1] else 0
+            rivals.append((h, side))
+            if side:
+                values.append(_mean_distance(ends, other, prefs[h], side))
+            else:
+                values.append((-np.inf, np.inf))
+    values = np.array(values)
+    bound = values.max(axis=1).min()
+    return [r for r, low in zip(rivals, values.min(axis=1)) if not low > bound]
+
+
 def _silhouette_of(clusters: list[np.ndarray]) -> float:
     """Mean silhouette of a partition given as sorted, non-empty clusters.
 
     a(i) is the mean intra-cluster distance excluding the point itself,
     b(i) the smallest mean distance to another cluster; singletons
-    contribute 0. Exact, via per-cluster prefix sums.
+    contribute 0. Exact, via per-cluster prefix sums; b visits only the
+    ``_rivals`` that can hold it, and the side each is on is read from the
+    ends of the whole cluster, so every block takes the same branch.
     """
     prefs = [np.concatenate(([0.0], np.cumsum(c))) for c in clusters]
     total = 0.0
@@ -265,6 +325,7 @@ def _silhouette_of(clusters: list[np.ndarray]) -> float:
         if n == 1:
             continue
         s = prefs[j]
+        rivals = _rivals(clusters, prefs, j)
         # On a spiky recording one cluster holds nearly every point, and
         # its silhouette sets the peak memory of detect: the expressions
         # run on blocks of _BLOCK points, and one .sum() over all n scores
@@ -280,25 +341,8 @@ def _silhouette_of(clusters: list[np.ndarray]) -> float:
             a = (r * x - sx) + ((s[n] - sx) - (n - r) * x)
             a /= n - 1
             b = np.full(hi - lo, np.inf)
-            for h, other in enumerate(clusters):
-                if h == j:
-                    continue
-                so = prefs[h]
-                no = other.size
-                # Disjoint ranges (every fit that cuts no run of tied
-                # values) put all of `other` on one side of `cl`: the
-                # general form below then reduces exactly, up to the sign
-                # of a zero, to one term. The test reads the ends of the
-                # whole cluster, so every block takes the same branch.
-                if other[-1] < cl[0]:
-                    d = no * x - so[no]
-                elif other[0] >= cl[-1]:
-                    d = so[no] - no * x
-                else:
-                    q = np.searchsorted(other, x)
-                    d = (q * x - so[q]) + ((so[no] - so[q]) - (no - q) * x)
-                d /= no
-                np.minimum(b, d, out=b)
+            for h, side in rivals:
+                np.minimum(b, _mean_distance(x, clusters[h], prefs[h], side), out=b)
             denom = np.maximum(a, b)
             b -= a  # the score numerator, in place
             np.divide(b, denom, out=scores[lo:hi], where=denom > 0.0)
@@ -324,8 +368,7 @@ def _sorted_setup(
     arr: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Stable sort order, sorted values and their prefix sums (of x, x^2)."""
-    order = np.argsort(arr, kind="stable")
-    srt = arr[order]
+    order, srt = _exact_order(arr)
     pref = np.concatenate(([0.0], np.cumsum(srt)))
     pref2 = np.concatenate(([0.0], np.cumsum(srt * srt)))
     return order, srt, pref, pref2

@@ -10,6 +10,7 @@ input, bit for bit.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -51,7 +52,9 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64).reshape(-1)
+        self._own(np.array(self.values, dtype=np.float64).reshape(-1))
+
+    def _own(self, arr: np.ndarray) -> None:
         if arr.size < MIN_LENGTH:
             raise TooShortError(
                 f"series has {arr.size} samples; at least {MIN_LENGTH} required"
@@ -62,6 +65,15 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return int(self.values.size)
+
+
+def _adopt(arr: np.ndarray) -> TimeSeries:
+    """A series over a 1-D float64 array that the library has just built
+    and nobody else holds: checked and made read-only in place, where the
+    public constructor copies."""
+    series = object.__new__(TimeSeries)
+    series._own(arr)
+    return series
 
 
 @dataclass(frozen=True)
@@ -106,18 +118,21 @@ class HCProfile:
     max_rank: int
 
 
+def _floats(values: np.ndarray) -> Iterator[float]:
+    # The values as Python floats, in order, from 2**16-sample chunks, so
+    # only one chunk at a time is a list of Python floats.
+    step = 1 << 16
+    return chain.from_iterable(
+        values[i : i + step].tolist() for i in range(0, values.size, step)
+    )
+
+
 def _power_sum(values: np.ndarray, exponent: int) -> float:
     # Builtin pow on Python floats is the libm pow that ``x ** exponent``
     # calls, so every term matches the Python-float form bit for bit;
     # numpy's power and square round some terms differently in the last
-    # bit, which can move the compensated sum. The one fsum reads the
-    # terms in order from 2**16-sample chunks, so only one chunk at a time
-    # is a list of Python floats.
-    step = 1 << 16
-    chunks = (values[i : i + step].tolist() for i in range(0, values.size, step))
-    return math.fsum(
-        chain.from_iterable(map(pow, chunk, repeat(exponent)) for chunk in chunks)
-    )
+    # bit, which can move the compensated sum.
+    return math.fsum(map(pow, _floats(values), repeat(exponent)))
 
 
 def standardize(series: TimeSeries) -> StandardizedSeries:
@@ -127,7 +142,7 @@ def standardize(series: TimeSeries) -> StandardizedSeries:
     """
     arr = series.values
     try:
-        mean = math.fsum(arr) / arr.size
+        mean = math.fsum(_floats(arr)) / arr.size
         with np.errstate(over="ignore"):
             dev = arr - mean
         sd = math.sqrt(_power_sum(dev, 2) / arr.size)
@@ -221,11 +236,38 @@ def kurtosis(series: TimeSeries) -> KurtosisReport:
     return _kurtosis_of(standardize(series))
 
 
-def _rank_order(p: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _exact_order(
+    key: np.ndarray, *ties: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The order of a stable sort of the finite ``key`` by (key, *ties,
+    index), and ``key`` in that order.
+
+    numpy's default argsort (a SIMD quicksort where the CPU has one) does
+    the bulk. The elements in runs of equal keys (0.0 == -0.0 included)
+    are then taken in index order and put in (key, *ties) order by one
+    stable lexsort over them alone. Where most keys are tied, one stable
+    lexsort over all of them is faster, and gives the same order.
+    """
+    order = np.argsort(key)
+    srt = key[order]
+    new = np.concatenate(([True], srt[1:] != srt[:-1], [True]))
+    tied = ~(new[:-1] & new[1:])
+    if 2 * np.count_nonzero(tied) > key.size:
+        order = np.lexsort((*reversed(ties), key))
+        return order, key[order]
+    pos = np.flatnonzero(tied)
+    if pos.size:
+        idx = np.sort(order[pos])
+        order[pos] = idx[np.lexsort((*(t[idx] for t in reversed(ties)), key[idx]))]
+        srt[pos] = key[order[pos]]
+    return order, srt
+
+
+def _rank_order(p: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Primary: p ascending. Ties (clamped extremes) keep the underlying
-    # tail ordering, i.e. larger |z| first; lexsort is stable, so exact
-    # |z| ties keep time order. lexsort uses the last key as primary.
-    return np.lexsort((-np.abs(z), p))
+    # tail ordering, i.e. larger |z| first, and exact |z| ties keep time
+    # order: the order of np.lexsort((arange(m), -|z|, p)), and p in it.
+    return _exact_order(p, -np.abs(z))
 
 
 def hc_profile(
@@ -241,9 +283,8 @@ def hc_profile(
     m = z.size
     if m < MIN_LENGTH:
         raise TooShortError(f"profile needs at least {MIN_LENGTH} samples")
-    p = backend.two_sided_p(z)
-    order = _rank_order(p, z)
-    hc = hc_from_sorted_p(p[order])
+    order, p_sorted = _rank_order(backend.two_sided_p(z), z)
+    hc = hc_from_sorted_p(p_sorted)
     max_rank = m // 2 if restricted_rank_range else m
     max_rank = max(max_rank, 1)
     hc_max = float(hc[:max_rank].max())

@@ -20,6 +20,7 @@ from .core import (
     HCProfile,
     KurtosisReport,
     TimeSeries,
+    _adopt,
     _kurtosis_of,
     hc_profile,
     kurtosis,  # noqa: F401  (perfbench/spans.py wraps it under this name)
@@ -169,7 +170,7 @@ def mask(series: TimeSeries, segments: Sequence[Segment]) -> TimeSeries:
                 f"segment [{seg.start}, {seg.end}] outside [0, {m})"
             )
         out[seg.start : seg.end + 1] = series.values[seg.start : seg.end + 1]
-    return TimeSeries(values=out)
+    return _adopt(out)
 
 
 def _effective_thresholds(

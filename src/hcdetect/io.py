@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import TimeSeries
+from .core import TimeSeries, _adopt
 from .detector import DetectionReport
 from .errors import NonFiniteError, ParseError, ValidationError
 from .simlab import BoundaryCurve
@@ -98,15 +98,14 @@ def ingest(spec: InputSpec) -> TimeSeries:
                 )
             data = np.fromfile(fh, dtype="<f8").astype(np.float64, copy=False)
         # TimeSeries rejects non-finite samples, naming the first index.
-        return TimeSeries(values=data)
+        return _adopt(data)
     # utf-8-sig drops a leading byte-order mark, which would otherwise make
     # the first sample unparseable and be taken for the header.
     text = spec.path.read_text(encoding="utf-8-sig")
     column = spec.channel
     if column is None:
         column = 1 if spec.format == "csv_time_value" else 0
-    values = _parse_csv(text, column)
-    return TimeSeries(values=values)
+    return _adopt(_parse_csv(text, column))
 
 
 def write_raw_f64(path: Path | str, values: np.ndarray) -> None:

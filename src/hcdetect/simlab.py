@@ -26,7 +26,13 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import backend
-from .core import MIN_LENGTH, TimeSeries, asymptotic_threshold, hc_test_statistic
+from .core import (
+    MIN_LENGTH,
+    TimeSeries,
+    _adopt,
+    asymptotic_threshold,
+    hc_test_statistic,
+)
 from .errors import DomainError
 
 KINDS = ("null", "shifted_mean", "sparse_mixture", "sparse_sum")
@@ -164,7 +170,7 @@ def sample(spec: GeneratorSpec, m: int, seed) -> TimeSeries:
     else:  # sparse_sum
         scale = np.sqrt((1.0 - spec.eps) ** 2 + spec.eps**2)
         x = spec.mu + scale * z
-    return TimeSeries(values=x)
+    return _adopt(x)
 
 
 def _replicate_hcs(spec: GeneratorSpec, m: int, config: SimConfig) -> np.ndarray:

@@ -1,4 +1,5 @@
 import os
+import platform
 import shlex
 import shutil
 import subprocess
@@ -13,6 +14,25 @@ from hcdetect import TimeSeries, backend
 
 REPO = Path(__file__).resolve().parents[1]
 NO_COMPILER = "no C compiler on PATH to build src/hcdetect/_native.c"
+
+# The host the golden kernel digests were recorded on: machine, then
+# numpy's float64 exp and log dispatch, whose last bits the kernels' tails
+# inherit.
+GOLDEN_PLATFORM = ("x86_64", "X86_V4", "X86_V4")
+
+
+def skip_off_golden_platform() -> None:
+    """Skip the calling test unless this host dispatches exp and log as
+    ``GOLDEN_PLATFORM`` did."""
+    introspect = pytest.importorskip("numpy.lib.introspect")
+    dispatch = introspect.opt_func_info(func_name="^(exp|log)$", signature="float64")
+    here = (
+        platform.machine(),
+        dispatch["exp"]["dd"]["current"],
+        dispatch["log"]["dd"]["current"],
+    )
+    if here != GOLDEN_PLATFORM:
+        pytest.skip(f"digests recorded on {GOLDEN_PLATFORM}, this is {here}")
 
 
 def _c_compiler() -> str | None:

@@ -3,10 +3,12 @@ the quadratic silhouette oracle, and determinism."""
 
 import hashlib
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import skip_off_golden_platform
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -661,6 +663,91 @@ class TestBlockedSilhouette:
         assert silhouette(points, model) == unblocked_silhouette(clusters)
 
 
+def silhouette_and_rivals(
+    clusters: list[np.ndarray], monkeypatch
+) -> tuple[float, list[int]]:
+    """``_silhouette_of`` on the clusters, with the number of other
+    clusters that ``_rivals`` left out for each cluster it was asked about."""
+    from hcdetect import cluster
+
+    skipped = []
+    rivals = cluster._rivals
+
+    def counting(clusters, prefs, j):
+        kept = rivals(clusters, prefs, j)
+        skipped.append(len(clusters) - 1 - len(kept))
+        return kept
+
+    monkeypatch.setattr(cluster, "_rivals", counting)
+    return cluster._silhouette_of(clusters), skipped
+
+
+class TestSilhouettePruning:
+    """b visits only the clusters that can hold it; the unblocked form,
+    which visits every cluster, is the bit-for-bit oracle."""
+
+    def test_spiky_ramp_skips_far_clusters(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        bulk = np.sort(rng.random(3000) * 4.0)
+        ramp = 1e3 * np.arange(1.0, 101.0) ** 2
+        clusters = [bulk, *np.split(ramp, [20, 45, 70, 90])]
+        got, skipped = silhouette_and_rivals(clusters, monkeypatch)
+        assert got == unblocked_silhouette(clusters)
+        assert max(skipped) > 0
+
+    def test_overlapping_end_bounds_skip_nothing(self, monkeypatch):
+        # Each cluster spans more than the gaps between the means, so every
+        # other cluster's end values straddle the bound.
+        rng = np.random.default_rng(62)
+        clusters = [
+            np.concatenate(([0.0], np.sort(rng.uniform(9.9, 10.0, 99)))),
+            np.concatenate((np.sort(rng.uniform(10.05, 10.1, 99)), [20.0])),
+            np.concatenate((np.sort(rng.uniform(10.2, 10.3, 99)), [30.0])),
+        ]
+        got, skipped = silhouette_and_rivals(clusters, monkeypatch)
+        assert got == unblocked_silhouette(clusters)
+        assert skipped == [0, 0, 0]
+
+    def test_end_bounds_overflowing_to_inf(self, monkeypatch):
+        # Forty points near +-1e200 times x near +-1e307 overflow to +-inf;
+        # every cluster sum stays finite, and so does the silhouette.
+        rng = np.random.default_rng(63)
+        half = [
+            np.sort(rng.uniform(1e200, 1.01e200, 40)),
+            np.array([5e306, 6e306]),
+            np.array([1e307, 1.1e307]),
+        ]
+        clusters = [-c[::-1] for c in half[::-1]] + half
+        with np.errstate(over="ignore"):
+            got, skipped = silhouette_and_rivals(clusters, monkeypatch)
+            want = unblocked_silhouette(clusters)
+            assert np.isinf(40 * clusters[-1]).all()
+        assert got == want
+        assert math.isfinite(got)
+        assert max(skipped) > 0
+
+    def test_end_bounds_with_nan(self, monkeypatch):
+        # The sums of the clusters near -1e308, 1e307 and 1e308 overflow,
+        # so inf - inf makes NaN end values (and a NaN silhouette).
+        rng = np.random.default_rng(64)
+        clusters = [
+            np.sort(rng.uniform(-1.7e308, -1e308, 40)),
+            np.sort(rng.uniform(-1.01e200, -1e200, 40)),
+            np.sort(rng.uniform(1e200, 1.01e200, 40)),
+            np.sort(rng.uniform(1e306, 1e307, 40)),
+            np.sort(rng.uniform(1e308, 1.7e308, 40)),
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, _ = silhouette_and_rivals(clusters, monkeypatch)
+            want = unblocked_silhouette(clusters)
+        assert math.isnan(got)
+        assert got.hex() == want.hex()
+
+
+class TestSilhouettePruningAtSmallBlocks(AtSmallBlocks, TestSilhouettePruning):
+    pass
+
+
 class TestCellLocalSeedingAtSmallBlocks(AtSmallBlocks, TestCellLocalSeeding):
     pass
 
@@ -778,6 +865,59 @@ class TestBestModelGolden:
         assert (
             hashlib.sha256(model.assignment.tobytes()).hexdigest()
             == "03bef9bd892031db94bf47171fcc6ff9be116ad8968eafd5a23ab7a61cededfc"
+        )
+
+
+class TestSortedOrderGolden:
+    """Both sorts resolve ties exactly as a stable sort does. The pins were
+    recorded when ``hc_profile`` ranked with a three-key ``np.lexsort`` and
+    ``best_model`` sorted with ``argsort(kind="stable")``."""
+
+    def test_tie_heavy_profile_pinned(self, monkeypatch):
+        from hcdetect import _purekernels, backend
+        from hcdetect.core import TimeSeries, hc_profile, standardize
+
+        skip_off_golden_platform()
+        monkeypatch.setattr(backend, "two_sided_p", _purekernels.two_sided_p)
+        # Rounded normals tie in p; the spikes at 40, 45 and 50 pin p at
+        # the floor, where |z| breaks the ties; each value comes with its
+        # negation, so the mean is exactly 0 and every |z| is tied.
+        rng = np.random.default_rng(2027)
+        v = np.round(rng.standard_normal(10_000), 1)
+        v[::97] = 40.0 + 5.0 * (np.arange(v[::97].size) % 3)
+        std = standardize(TimeSeries(rng.permutation(np.concatenate([v, -v]))))
+        assert std.source_mean == 0.0
+        prof = hc_profile(std)
+        assert (
+            hashlib.sha256(prof.original_indices.tobytes()).hexdigest()
+            == "8a298c8131c2d483a6a6fe0e6612be66b1f5cf3a6c277a4a571eeacba7e77108"
+        )
+        assert (
+            hashlib.sha256(prof.hc_values.tobytes()).hexdigest()
+            == "eb5efe81afa1e847d03d80d435fce64151be2dc4fb7c15752fd9ac1605c2378c"
+        )
+
+    def test_signed_zeros_and_tied_runs_pinned(self):
+        # 300 each of 0.0 and -0.0, then runs of tied values; k = 4 puts
+        # the zeros in a cluster of their own.
+        rng = np.random.default_rng(2028)
+        zeros = np.where(np.arange(600) % 2, -0.0, 0.0)
+        runs = np.repeat([3.0, 3.5, 9.0], 300)
+        bulk = np.round(rng.normal(20.0, 1.5, 2000), 1)
+        points = rng.permutation(np.concatenate([zeros, runs, bulk]))
+        model = best_model(points, 2, 10, seed=0)
+        assert model.k == 4
+        assert [c.hex() for c in model.centroids] == [
+            "0x0.0p+0",
+            "0x1.a000000000000p+1",
+            "0x1.2000000000000p+3",
+            "0x1.3f3a5e353f7d4p+4",
+        ]
+        assert model.inertia.hex() == "0x1.19b4b3b644600p+12"
+        assert model.silhouette.hex() == "0x1.cac49926acc82p-1"
+        assert (
+            hashlib.sha256(model.assignment.tobytes()).hexdigest()
+            == "5451324935c974161701bc408edaba6da69e5ed5ac16c83f488ae7ffa888b039"
         )
 
 

@@ -1,6 +1,7 @@
 """Statistical kernel: worked examples and invariants."""
 
 import math
+import tracemalloc
 from itertools import repeat
 
 import numpy as np
@@ -20,7 +21,7 @@ from hcdetect import (
     tukey_hc,
 )
 from hcdetect import _purekernels, backend
-from hcdetect.core import P_FLOOR, _power_sum
+from hcdetect.core import P_FLOOR, _exact_order, _power_sum, _rank_order
 from hcdetect.errors import (
     DomainError,
     NonFiniteError,
@@ -271,6 +272,35 @@ class TestPowerSum:
         assert _power_sum(values, exponent) == want
 
 
+class TestTimeSeries:
+    def test_public_construction_copies_the_callers_array(self):
+        values = np.arange(5.0)
+        series = TimeSeries(values=values)
+        values[0] = 99.0
+        assert series.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert values.flags.writeable
+        assert not series.values.flags.writeable
+
+    def test_ingest_adopts_its_array_read_only(self, tmp_path):
+        from hcdetect.io import InputSpec, ingest
+
+        values = np.random.default_rng(72).standard_normal(1 << 18)
+        path = tmp_path / "x.bin"
+        values.astype("<f8").tofile(path)
+        tracemalloc.start()
+        try:
+            series = ingest(InputSpec(path=path, format="raw_f64_le"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not series.values.flags.writeable
+        with pytest.raises(ValueError):
+            series.values[0] = 0.0
+        np.testing.assert_array_equal(series.values, values)
+        # one array of samples: the public constructor's copy would double it
+        assert peak < 1.5 * values.nbytes, peak / values.nbytes
+
+
 class TestHcProfile:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(11)
@@ -333,6 +363,76 @@ class TestHcProfile:
         half = profile_series(TimeSeries(values=values), restricted_rank_range=True)
         assert half.max_rank == 500
         assert half.hc_max == full.hc_values[:500].max()
+
+
+def _order_inputs() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(71)
+    spikes = np.repeat([40.0, -40.0, 45.0, -45.0, 60.0], 7)
+    runs = np.repeat([1.0, 2.0, 2.5, 3.0, -1.0], [3, 5, 1, 7, 2])
+    zeros = np.where(np.arange(300) % 2, -0.0, 0.0)
+    return {
+        "n0": np.zeros(0),
+        "n1": np.array([1.5]),
+        "n2": np.array([3.0, -1.0]),
+        "n2_tied": np.array([-0.0, 0.0]),
+        "all_equal": np.full(1000, 0.25),
+        "signed_zeros": np.where(np.arange(1000) % 2, -0.0, 0.0),
+        "signed_zeros_in_noise": rng.permutation(
+            np.concatenate([zeros, rng.standard_normal(700)])
+        ),
+        "adjacent_runs": rng.permutation(runs),
+        "adjacent_runs_in_noise": rng.permutation(
+            np.concatenate([runs, rng.standard_normal(40)])
+        ),
+        "floor_pinned": rng.permutation(
+            np.concatenate([spikes, rng.standard_normal(200)])
+        ),
+        "mostly_floor_pinned": rng.permutation(
+            np.concatenate([np.tile(spikes, 4), rng.standard_normal(60)])
+        ),
+        "rounded_normals": np.round(rng.standard_normal(100_000), 1),
+    }
+
+
+def _tied_share(x: np.ndarray) -> float:
+    srt = np.sort(x)
+    new = np.concatenate(([True], srt[1:] != srt[:-1], [True]))
+    return float(np.mean(~(new[:-1] & new[1:])))
+
+
+class TestExactOrder:
+    """The unstable sort plus tie repair gives a stable sort's order, and
+    the keys in it with the bits of a gather (the sign of a zero too)."""
+
+    @pytest.mark.parametrize("name", sorted(_order_inputs()))
+    def test_matches_stable_argsort(self, name):
+        x = _order_inputs()[name]
+        order, srt = _exact_order(x)
+        want = np.argsort(x, kind="stable")
+        assert np.array_equal(order, want)
+        assert srt.tobytes() == x[want].tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_order_inputs()))
+    def test_rank_order_matches_three_key_lexsort(self, name):
+        z = _order_inputs()[name]
+        p = backend.two_sided_p(z)
+        order, p_sorted = _rank_order(p, z)
+        want = np.lexsort((np.arange(z.size), -np.abs(z), p))
+        assert np.array_equal(order, want)
+        assert p_sorted.tobytes() == p[want].tobytes()
+
+    def test_inputs_reach_both_paths_and_the_floor(self):
+        inputs = _order_inputs()
+        # more than half tied: one lexsort over all
+        for name in ("all_equal", "signed_zeros", "adjacent_runs", "rounded_normals"):
+            assert _tied_share(inputs[name]) > 0.5, name
+        assert _tied_share(backend.two_sided_p(inputs["mostly_floor_pinned"])) > 0.5
+        # the repair of the tied elements alone
+        for name in ("signed_zeros_in_noise", "adjacent_runs_in_noise", "floor_pinned"):
+            assert 0.0 < _tied_share(inputs[name]) <= 0.5, name
+        p = backend.two_sided_p(inputs["floor_pinned"])
+        assert (p == P_FLOOR).sum() == 35
+        assert 0.0 < _tied_share(p) <= 0.5
 
 
 class TestTestStatistic:

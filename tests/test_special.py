@@ -1,11 +1,11 @@
 """Vendored special functions against independent oracles."""
 
 import hashlib
-import platform
 
 import numpy as np
 import pytest
 import scipy.special
+from conftest import skip_off_golden_platform
 from scipy.integrate import quad
 
 from hcdetect import _purekernels as pure
@@ -127,19 +127,10 @@ GOLDEN_DIGESTS = {
     "erfc": "33987eb201b0b1e9591a4a2a68c310651e05bc7fc09fc8d41563d1599a97e802",
     "two_sided_p": "78447bfee306f393f55645620b36591e7a87ead45ed8cf22a5eedbd814af7760",
 }
-GOLDEN_PLATFORM = ("x86_64", "X86_V4", "X86_V4")
 
 
 def test_pure_kernels_match_golden_bits():
-    introspect = pytest.importorskip("numpy.lib.introspect")
-    dispatch = introspect.opt_func_info(func_name="^(exp|log)$", signature="float64")
-    here = (
-        platform.machine(),
-        dispatch["exp"]["dd"]["current"],
-        dispatch["log"]["dd"]["current"],
-    )
-    if here != GOLDEN_PLATFORM:
-        pytest.skip(f"digests recorded on {GOLDEN_PLATFORM}, this is {here}")
+    skip_off_golden_platform()
     x, u = _golden_grid()
     outputs = {
         "ndtri": pure.ndtri(u),
