@@ -245,17 +245,12 @@ def _exact_order(
     numpy's default argsort (a SIMD quicksort where the CPU has one) does
     the bulk. The elements in runs of equal keys (0.0 == -0.0 included)
     are then taken in index order and put in (key, *ties) order by one
-    stable lexsort over them alone. Where most keys are tied, one stable
-    lexsort over all of them is faster, and gives the same order.
+    stable lexsort over them alone.
     """
     order = np.argsort(key)
     srt = key[order]
     new = np.concatenate(([True], srt[1:] != srt[:-1], [True]))
-    tied = ~(new[:-1] & new[1:])
-    if 2 * np.count_nonzero(tied) > key.size:
-        order = np.lexsort((*reversed(ties), key))
-        return order, key[order]
-    pos = np.flatnonzero(tied)
+    pos = np.flatnonzero(~(new[:-1] & new[1:]))
     if pos.size:
         idx = np.sort(order[pos])
         order[pos] = idx[np.lexsort((*(t[idx] for t in reversed(ties)), key[idx]))]

@@ -394,10 +394,10 @@ def _order_inputs() -> dict[str, np.ndarray]:
     }
 
 
-def _tied_share(x: np.ndarray) -> float:
-    srt = np.sort(x)
-    new = np.concatenate(([True], srt[1:] != srt[:-1], [True]))
-    return float(np.mean(~(new[:-1] & new[1:])))
+def _tied_count(x: np.ndarray) -> int:
+    # elements whose value another element shares (np.unique merges ±0)
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return int(np.count_nonzero(counts[inverse] > 1))
 
 
 class TestExactOrder:
@@ -421,18 +421,32 @@ class TestExactOrder:
         assert np.array_equal(order, want)
         assert p_sorted.tobytes() == p[want].tobytes()
 
-    def test_inputs_reach_both_paths_and_the_floor(self):
+    @pytest.mark.parametrize("name", sorted(_order_inputs()))
+    def test_lexsort_sees_only_the_tied_elements(self, name, monkeypatch):
+        z = _order_inputs()[name]
+        p = backend.two_sided_p(z)
+        sizes = []
+        lexsort = np.lexsort
+
+        def counting(keys):
+            sizes.append({np.asarray(k).size for k in keys})
+            return lexsort(keys)
+
+        monkeypatch.setattr(np, "lexsort", counting)
+        _exact_order(z)
+        _rank_order(p, z)
+        want = [{n} for n in (_tied_count(z), _tied_count(p)) if n]
+        assert sizes == want
+
+    def test_inputs_reach_the_floor_and_mostly_tied_keys(self):
         inputs = _order_inputs()
-        # more than half tied: one lexsort over all
-        for name in ("all_equal", "signed_zeros", "adjacent_runs", "rounded_normals"):
-            assert _tied_share(inputs[name]) > 0.5, name
-        assert _tied_share(backend.two_sided_p(inputs["mostly_floor_pinned"])) > 0.5
-        # the repair of the tied elements alone
-        for name in ("signed_zeros_in_noise", "adjacent_runs_in_noise", "floor_pinned"):
-            assert 0.0 < _tied_share(inputs[name]) <= 0.5, name
         p = backend.two_sided_p(inputs["floor_pinned"])
         assert (p == P_FLOOR).sum() == 35
-        assert 0.0 < _tied_share(p) <= 0.5
+        assert 0 < _tied_count(p) < p.size // 2
+        p = backend.two_sided_p(inputs["mostly_floor_pinned"])
+        assert _tied_count(p) > p.size // 2
+        for name in ("all_equal", "signed_zeros", "rounded_normals"):
+            assert _tied_count(inputs[name]) > inputs[name].size // 2, name
 
 
 class TestTestStatistic:
