@@ -159,10 +159,22 @@ ND_F = (
 )
 
 
+# Inputs longer than this run through the kernel in blocks of this many
+# elements into one output array, so a kernel's temporaries stay
+# block-sized. The kernels are elementwise, so the bits are those of one
+# whole-array call. Every Monte Carlo array (m <= 1e5) is one block.
+_BLOCK = 1 << 17
+
+
 def _vectorized(fn):
     def wrapper(x):
         arr = np.atleast_1d(np.asarray(x, dtype=np.float64)).ravel()
-        out = fn(arr)
+        if arr.size > _BLOCK:
+            out = np.empty_like(arr)
+            for i in range(0, arr.size, _BLOCK):
+                out[i : i + _BLOCK] = fn(arr[i : i + _BLOCK])
+        else:
+            out = fn(arr)
         if np.ndim(x) == 0:
             return float(out[0])
         return out.reshape(np.shape(x))

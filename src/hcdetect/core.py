@@ -2,9 +2,11 @@
 higher-criticism statistic, the asymptotic rejection threshold, Tukey's
 fraction-of-significances form, and kurtosis.
 
-All moments are population moments (divide by m), computed with exact
-(compensated) summation so results are invariant under permutation of the
-input, bit for bit.
+All moments are population moments (divide by m) from correctly rounded
+sums, so results are invariant under permutation of the input, bit for
+bit: the mean is ``math.fsum`` of the samples, and the power sums add
+their libm ``pow`` terms exactly as integers binned by binary exponent,
+then round once.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -118,21 +120,53 @@ class HCProfile:
     max_rank: int
 
 
+_CHUNK = 1 << 16
+
+
 def _floats(values: np.ndarray) -> Iterator[float]:
     # The values as Python floats, in order, from 2**16-sample chunks, so
     # only one chunk at a time is a list of Python floats.
-    step = 1 << 16
     return chain.from_iterable(
-        values[i : i + step].tolist() for i in range(0, values.size, step)
+        values[i : i + _CHUNK].tolist() for i in range(0, values.size, _CHUNK)
     )
 
 
+# An exact power sum. np.float_power has no SIMD loop: its float64 loop
+# calls libm ``pow``, here on |x| as CPython's float ``pow`` does for an
+# integer exponent, so every term equals the Python-float term bit for
+# bit (numpy's ``power`` and ``square`` round some differently). frexp
+# writes a finite term as m * 2**(e - 53) with m < 2**53 an integer, split
+# into m >> 26 (below 2**27) and the low 26 bits. Per 2**16-sample chunk,
+# np.bincount adds each half by exponent: below 2**43, so exact in float64
+# in any order. The int64 bins stay exact up to 2**36 samples. One Python
+# int of the bins, divided by a power of two, rounds half-even once: the
+# correctly rounded sum that ``math.fsum`` returns, raising OverflowError
+# past the float range as it does.
+_SPLIT = 26
+_BIAS = 1074  # frexp exponents of nonzero finite doubles: -1073 .. 1024
+_BINS = _BIAS + 1025
+
+
 def _power_sum(values: np.ndarray, exponent: int) -> float:
-    # Builtin pow on Python floats is the libm pow that ``x ** exponent``
-    # calls, so every term matches the Python-float form bit for bit;
-    # numpy's power and square round some terms differently in the last
-    # bit, which can move the compensated sum.
-    return math.fsum(map(pow, _floats(values), repeat(exponent)))
+    hi_bins = np.zeros(_BINS, dtype=np.int64)
+    lo_bins = np.zeros(_BINS, dtype=np.int64)
+    for i in range(0, values.size, _CHUNK):
+        with np.errstate(over="ignore", under="ignore"):
+            terms = np.float_power(np.abs(values[i : i + _CHUNK]), float(exponent))
+        if not np.isfinite(terms).all():
+            raise OverflowError("a power of a sample overflows float64")
+        mant, exp = np.frexp(terms)
+        exp += _BIAS
+        m = (mant * 2.0**53).astype(np.int64)
+        hi = m >> _SPLIT
+        lo = m - (hi << _SPLIT)
+        hi_bins += np.bincount(exp, weights=hi, minlength=_BINS).astype(np.int64)
+        lo_bins += np.bincount(exp, weights=lo, minlength=_BINS).astype(np.int64)
+    total = sum(
+        ((int(hi_bins[b]) << _SPLIT) + int(lo_bins[b])) << int(b)
+        for b in np.flatnonzero(hi_bins | lo_bins)
+    )
+    return total / (1 << (_BIAS + 53))
 
 
 def standardize(series: TimeSeries) -> StandardizedSeries:

@@ -20,8 +20,14 @@ from hcdetect import (
     standardize,
     tukey_hc,
 )
-from hcdetect import _purekernels, backend
-from hcdetect.core import P_FLOOR, _exact_order, _power_sum, _rank_order
+from hcdetect import _purekernels, backend, core
+from hcdetect.core import (
+    P_FLOOR,
+    _exact_order,
+    _kurtosis_of,
+    _power_sum,
+    _rank_order,
+)
 from hcdetect.errors import (
     DomainError,
     NonFiniteError,
@@ -105,6 +111,10 @@ class TestStandardize:
             [1e200, -1e200, 0.0, 1.0],  # the squared deviations overflow
             [1.7e308, 1.7e308, -1.7e308],  # the sum of the samples overflows
             [1.7e308, -1.7e308, -1.7e308],  # a deviation from the mean overflows
+            # fsum's running sum overflows although the mean would fit; an
+            # exact mean would turn these into a zero variance and a success
+            [1.7e308] * 3,
+            [1.7e308, 1.7e308, 1.6999999999999998e308],
         ],
     )
     def test_overflowing_moments_are_domain_errors(self, values):
@@ -253,7 +263,30 @@ class TestKurtosis:
         assert report.raw - report.excess == 3.0
 
 
+def _terms_summing_to(bits: list[int], exponent: int) -> list[float]:
+    # Powers of two whose ``exponent``-th powers are exact and add up to
+    # the sum of 2**k over ``bits``: 2**k = 2**r * (2**q)**exponent.
+    values = []
+    for k in bits:
+        q, r = divmod(k, exponent)
+        values += [2.0**q] * (1 << r)
+    return values
+
+
 class TestPowerSum:
+    @staticmethod
+    def _check(values, exponent):
+        # Equal to the Python-float form, or OverflowError on both sides.
+        values = np.asarray(values, dtype=np.float64)
+        try:
+            want = math.fsum(map(pow, values.tolist(), repeat(exponent)))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _power_sum(values, exponent)
+            return
+        got = _power_sum(values, exponent)
+        assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
+
     @pytest.mark.parametrize(
         "values",
         [
@@ -263,13 +296,97 @@ class TestPowerSum:
             np.random.default_rng(23).standard_normal((1 << 16) + 1) * 1e3,
             np.random.default_rng(24).standard_cauchy(3 * (1 << 16) + 5),
             _criterion_4_input(seed=16),
+            np.array([5e-324, -5e-324, 2.2250738585072014e-308, -1e-310] * 3),
+            # powers that underflow to 0 or to a subnormal
+            np.array([1e-200, -1e-170, 1e-155, -1e-80, 1e-78, 3e-162, 1.0]),
+            np.ldexp(
+                np.random.default_rng(25).random(5000),
+                np.random.default_rng(26).integers(-1074, 200, 5000),
+            ),
+            # sums in the subnormal range, of squares and of fourth powers
+            np.ldexp(
+                np.random.default_rng(27).standard_normal(1000),
+                np.random.default_rng(28).integers(-565, -530, 1000),
+            ),
+            np.ldexp(
+                np.random.default_rng(29).standard_normal(1000),
+                np.random.default_rng(30).integers(-283, -265, 1000),
+            ),
+            np.array([0.0, -0.0, -0.0, 0.0]),
+            np.array([-0.0] * 3),
+            np.array([-3.5, 2.0, -1e-3, -7.25, 0.0, -0.0]),
         ],
-        ids=["empty", "one", "one_chunk", "chunk_plus_one", "cauchy", "spiky"],
+        ids=[
+            "empty", "one", "one_chunk", "chunk_plus_one", "cauchy", "spiky",
+            "subnormal", "underflow", "all_exponents", "subnormal_squares",
+            "subnormal_fourths", "zeros", "negative_zeros", "negative",
+        ],
     )
     @pytest.mark.parametrize("exponent", [2, 4])
     def test_chunks_match_whole_list_form_exactly(self, values, exponent):
         want = math.fsum(map(pow, values.tolist(), repeat(exponent)))
         assert _power_sum(values, exponent) == want
+
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            [0, -53],  # 1 + 2**-53: halfway, ties down to the even 1.0
+            [0, -52, -53],  # halfway above an odd mantissa: ties up
+            [0, -53, -160],  # just above halfway: rounds up
+            [-1000, -1053],  # halfway between two normal doubles near 2**-1000
+            range(971, 1024),  # M, the largest double
+            [*range(971, 1024), 969],  # M + ulp/4: rounds down to M
+            [*range(971, 1024), 970],  # M + ulp/2: ties to 2**1024, overflow
+            [*range(971, 1024), 970, 900],  # above the float range
+            [1023, 1023],  # 2**1024
+            [1022] * 3,  # 1.5 * 2**1023 from equal terms
+        ],
+        ids=[
+            "tie_down", "tie_up", "above_tie", "tiny_tie", "max", "below_max_tie",
+            "at_max_tie", "above_max", "two_halves", "three_quarters",
+        ],
+    )
+    @pytest.mark.parametrize("exponent", [2, 4])
+    def test_rounds_half_even_and_overflows_like_fsum(self, bits, exponent):
+        values = _terms_summing_to(list(bits), exponent)
+        self._check(values, exponent)
+        self._check([-v for v in values], exponent)
+
+    @pytest.mark.parametrize("exponent", [2, 4])
+    def test_full_bins_of_largest_mantissa(self, exponent):
+        # The largest double whose power stays below 2: its term's mantissa
+        # is all ones, or one below, so the high half of the split is at
+        # its largest, and 3 * 2**16 + 5 of them fill a bin in every chunk.
+        x = 2.0 ** (1.0 / exponent)
+        while pow(x, exponent) >= 2.0:
+            x = math.nextafter(x, 0.0)
+        assert int(math.frexp(pow(x, exponent))[0] * 2.0**53) >> 26 == (1 << 27) - 1
+        values = np.full(3 * (1 << 16) + 5, x)
+        values[::3] *= -1.0
+        self._check(values, exponent)
+
+    @given(
+        st.lists(finite_values, max_size=64)
+        | st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=16),
+        st.sampled_from([2, 4]),
+    )
+    @settings(max_examples=200)
+    def test_property_finite_values(self, values, exponent):
+        self._check(values, exponent)
+
+    def test_only_the_mean_reads_math_fsum(self, monkeypatch):
+        calls = []
+        fsum = math.fsum
+
+        def counting(iterable):
+            calls.append(iterable)
+            return fsum(iterable)
+
+        monkeypatch.setattr(core.math, "fsum", counting)
+        std = standardize(TimeSeries(values=_criterion_4_input(seed=16)))
+        assert len(calls) == 1
+        _kurtosis_of(std)
+        assert len(calls) == 1
 
 
 class TestTimeSeries:

@@ -1,6 +1,7 @@
 """Vendored special functions against independent oracles."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,3 +170,47 @@ def test_backends_agree(native_kernels):
         )
     edges = np.array([0.0, 0.5, 1.0, np.nan])
     np.testing.assert_array_equal(native_kernels.ndtri(edges), pure.ndtri(edges))
+
+
+def _seam_inputs(n: int) -> dict[str, np.ndarray]:
+    # n samples per kernel, with the edge values spread across the blocks.
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal(n) * 6.0
+    edges = [0.0, -0.0, 1e-300, 40.0, -40.0, np.inf, -np.inf, np.nan, 1.3]
+    x[np.linspace(0, n - 1, len(edges)).astype(int)] = edges
+    u = rng.random(n)
+    edges = [0.0, 1.0, 0.5, np.nan, 1e-300]
+    u[np.linspace(0, n - 1, len(edges)).astype(int)] = edges
+    return {"erfc": x, "two_sided_p": x, "gaussian_tail_prob": x, "ndtri": u}
+
+
+@pytest.mark.parametrize("block", [7, pure._BLOCK])
+def test_blocked_kernels_match_one_whole_array_call(monkeypatch, block):
+    n = 2 * block + 3 if block > 7 else 7 * 9 + 4
+    for name, arr in _seam_inputs(n).items():
+        fn = getattr(pure, name)
+        monkeypatch.setattr(pure, "_BLOCK", 1 << 62)
+        whole = fn(arr)
+        monkeypatch.setattr(pure, "_BLOCK", block)
+        assert fn(arr).tobytes() == whole.tobytes(), name
+        if block == 7:
+            # shapes survive the blocks, and a short input is one call
+            grid = fn(arr[:60].reshape(3, 4, 5))
+            assert grid.shape == (3, 4, 5)
+            assert grid.tobytes() == whole[:60].tobytes(), name
+            assert fn(arr[:7]).tobytes() == whole[:7].tobytes(), name
+            assert fn(float(arr[3])) == whole[3], name
+
+
+def test_two_sided_p_temporaries_stay_block_sized():
+    z = np.random.default_rng(42).standard_normal(1 << 20) * 3.0
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pure.two_sided_p(z)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the output plus one block's temporaries; the whole-array kernel
+    # peaks at about 8.5x the input
+    assert peak < 2.5 * z.nbytes
