@@ -86,7 +86,9 @@ static const double
 /* Two-sided p clamp bounds, as in _purekernels. */
 static const double P_CEIL = 0.99999;
 static const double P_FLOOR = 0x1p-54;
-static const double INV_SQRT2 = 0.7071067811865476;
+/* _purekernels' 1.0 / np.sqrt(2.0), 0x1.6a09e667f3bccp-1: one ulp below the
+ * correctly rounded 1/sqrt(2), so both backends scale |z| to the same bits. */
+static const double INV_SQRT2 = 0.7071067811865475;
 
 /* SET_LOW_WORD(x, 0): drop the low 32 mantissa bits so that x*x is exact. */
 static inline double zero_low_word(double x)

@@ -10,10 +10,20 @@ Vendored rational approximations:
 * ``ndtri`` is Wichura's PPND16 rational approximation (AS 241) for the
   standard normal quantile, accurate to ~1e-15 relative.
 
+Each kernel is piecewise in its input. A piece finds its elements once,
+as integer positions (``np.flatnonzero`` of its range test), gathers its
+inputs with them, computes on the gathered values in place, and scatters
+its results back through the same positions; a boolean mask would be
+scanned again at every gather and scatter. ``ndtri``'s central formula is
+the exception: it runs on every element, and the tails overwrite theirs.
+The arithmetic and its order are those of the boolean-mask form, which
+``tests/test_special.py`` keeps as the oracle for the output bits.
+
 These are the fallback implementations and the oracle for the compiled
 ones: ``_native.c`` holds the same algorithms and coefficients and must
-agree to a few ulp. ``_vectorized`` is the array/scalar shape handling that
-both backends share.
+agree to a few ulp, and bit for bit on the branches that call no ``exp``
+or ``log``. ``_vectorized`` is the array/scalar shape handling that both
+backends share.
 """
 
 from __future__ import annotations
@@ -195,16 +205,36 @@ def _poly(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _zero_low_word(x: np.ndarray) -> np.ndarray:
-    # SET_LOW_WORD(z, 0): drop the low 32 mantissa bits so that z*z is exact
-    bits = x.astype(np.float64).view(np.uint64) & np.uint64(0xFFFFFFFF00000000)
-    return bits.view(np.float64)
+def _ratio(num: tuple[float, ...], den: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    out = _poly(num, x)
+    out /= _poly(den, x)
+    return out
+
+
+def _within(ax: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    # The positions of lo <= ax < hi; a NaN lies in no piece.
+    return np.flatnonzero((ax >= lo) & (ax < hi))
+
+
+def _split(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The positions where mask holds, and where it does not.
+    return np.flatnonzero(mask), np.flatnonzero(~mask)
 
 
 def _tail_factor(ax: np.ndarray, r_over_s: np.ndarray) -> np.ndarray:
-    # exp(-z*z - 0.5625) * exp((z - ax)(z + ax) + R/S) for ax >= 1.25
-    z = _zero_low_word(ax)
-    return np.exp(-z * z - 0.5625) * np.exp((z - ax) * (z + ax) + r_over_s)
+    # exp(-z*z - 0.5625) * exp((z - ax)(z + ax) + R/S) for ax >= 1.25, with
+    # SET_LOW_WORD(z, 0): the low 32 mantissa bits dropped, so z*z is exact
+    z = (ax.view(np.uint64) & np.uint64(0xFFFFFFFF00000000)).view(np.float64)
+    out = np.negative(z)
+    out *= z
+    out -= 0.5625
+    np.exp(out, out=out)
+    d = z - ax
+    z += ax
+    d *= z
+    d += r_over_s
+    out *= np.exp(d, out=d)
+    return out
 
 
 @_vectorized
@@ -213,40 +243,38 @@ def erfc(x) -> np.ndarray:
     # |x| >= 28: 0 on the right, 2 on the left
     out = np.where(x > 0.0, 0.0, 2.0)
 
-    m = ax < 2.0**-56
-    if m.any():
-        out[m] = 1.0 - x[m]
+    i = np.flatnonzero(ax < 2.0**-56)
+    if i.size:
+        out[i] = 1.0 - x[i]
 
-    m = (ax >= 2.0**-56) & (ax < 0.84375)
-    if m.any():
-        xm = x[m]
-        z = xm * xm
-        y = _poly(PP, z) / _poly(QQ, z)
-        small = np.abs(xm) < 0.25
-        r = np.where(small, 1.0 - (xm + xm * y), 0.5 - (xm * y + (xm - 0.5)))
-        out[m] = r
+    i = _within(ax, 2.0**-56, 0.84375)
+    if i.size:
+        xi = x[i]
+        xy = _ratio(PP, QQ, xi * xi)
+        xy *= xi
+        small = np.abs(xi) < 0.25
+        out[i] = np.where(small, 1.0 - (xi + xy), 0.5 - (xy + (xi - 0.5)))
 
-    m = (ax >= 0.84375) & (ax < 1.25)
-    if m.any():
-        s = ax[m] - 1.0
-        pq = _poly(PA, s) / _poly(QA, s)
-        out[m] = np.where(x[m] >= 0.0, 1.0 - ERX - pq, 1.0 + (ERX + pq))
+    i = _within(ax, 0.84375, 1.25)
+    if i.size:
+        xi = x[i]
+        pq = _ratio(PA, QA, ax[i] - 1.0)
+        out[i] = np.where(xi >= 0.0, 1.0 - ERX - pq, 1.0 + (ERX + pq))
 
-    m = (ax >= 1.25) & (ax < 28.0)
-    if m.any():
-        a = ax[m]
+    i = _within(ax, 1.25, 28.0)
+    if i.size:
+        xi = x[i]
+        a = ax[i]
         s = 1.0 / (a * a)
-        lo = a < 1.0 / 0.35
         rs = np.empty_like(a)
-        if lo.any():
-            rs[lo] = _poly(RA, s[lo]) / _poly(SA, s[lo])
-        if (~lo).any():
-            rs[~lo] = _poly(RB, s[~lo]) / _poly(SB, s[~lo])
+        for j, num, den in zip(_split(a < 1.0 / 0.35), (RA, RB), (SA, SB)):
+            if j.size:
+                rs[j] = _ratio(num, den, s[j])
         with np.errstate(under="ignore"):
-            r = _tail_factor(a, rs) / a
-        neg = x[m] < 0.0
+            r = _tail_factor(a, rs)
+            r /= a
         # right tail: r; left tail: 2 - r, collapsing to 2.0 below -6
-        out[m] = np.where(neg, np.where(a > 6.0, 2.0, 2.0 - r), r)
+        out[i] = np.where(xi < 0.0, np.where(a > 6.0, 2.0, 2.0 - r), r)
 
     m = np.isnan(x)
     if m.any():
@@ -260,27 +288,31 @@ def ndtri(p) -> np.ndarray:
     # The central formula runs on every element (most samples are central,
     # so this beats a gather and scatter); the tails overwrite theirs below.
     with np.errstate(all="ignore"):
-        r = 0.180625 - q * q
+        r = q * q
+        np.subtract(0.180625, r, out=r)
         out = _poly(ND_A, r)
         out *= q
         out /= _poly(ND_B, r)
 
-    t = ~(np.abs(q) <= 0.425)
-    if t.any():
-        r = np.where(q[t] < 0.0, p[t], 1.0 - p[t])
-        bad = r <= 0.0
-        r = np.where(bad, np.nan, r)
-        r = np.sqrt(-np.log(r))
-        near = r <= 5.0
+    t = np.flatnonzero(~(np.abs(q) <= 0.425))
+    if t.size:
+        pt = p[t]
+        lower = q[t] < 0.0
+        r = 1.0 - pt
+        np.copyto(r, pt, where=lower)
+        bad = np.flatnonzero(r <= 0.0)
+        r[bad] = np.nan
+        np.log(r, out=r)
+        np.negative(r, out=r)
+        np.sqrt(r, out=r)
         val = np.empty_like(r)
-        if near.any():
-            rr = r[near] - 1.6
-            val[near] = _poly(ND_C, rr) / _poly(ND_D, rr)
-        if (~near).any():
-            rr = r[~near] - 5.0
-            val[~near] = _poly(ND_E, rr) / _poly(ND_F, rr)
-        val = np.where(q[t] < 0.0, -val, val)
-        val[bad] = np.where(p[t][bad] <= 0.0, -np.inf, np.inf)
+        for j, num, den, c in zip(_split(r <= 5.0), (ND_C, ND_E), (ND_D, ND_F), (1.6, 5.0)):
+            if j.size:
+                rr = r[j]
+                rr -= c
+                val[j] = _ratio(num, den, rr)
+        np.negative(val, out=val, where=lower)
+        val[bad] = np.where(pt[bad] <= 0.0, -np.inf, np.inf)
         out[t] = val
 
     m = np.isnan(p)
@@ -301,9 +333,11 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 @_vectorized
 def two_sided_p(z) -> np.ndarray:
     """Clamped two-sided tail probability P(|N(0,1)| > |z|)."""
-    p = erfc(np.abs(z) * _INV_SQRT2)
-    p = np.where(p >= 1.0, P_CEIL, p)
-    return np.maximum(p, P_FLOOR)
+    a = np.abs(z)
+    a *= _INV_SQRT2
+    p = erfc(a)
+    np.copyto(p, P_CEIL, where=p >= 1.0)
+    return np.maximum(p, P_FLOOR, out=p)
 
 
 @_vectorized

@@ -13,7 +13,8 @@ lab's threads run the compiled kernels in parallel. Both backends share the
 array/scalar shape handling of ``_purekernels._vectorized``.
 
 Results are bit-reproducible for a fixed (seed, backend, platform); the
-two backends agree to a few ulp, which the test suite asserts.
+two backends agree to a few ulp, and bit for bit on the branches that call
+no exp or log, which the test suite asserts.
 """
 
 from __future__ import annotations

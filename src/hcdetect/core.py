@@ -349,10 +349,16 @@ def hc_test_statistic(values: np.ndarray) -> float:
     p-values and sorted, unless the rare fallback below needs all of them.
     """
     x = np.asarray(values, dtype=np.float64).reshape(-1)
-    m = x.size
-    if m < MIN_LENGTH:
+    if x.size < MIN_LENGTH:
         raise TooShortError(f"statistic needs at least {MIN_LENGTH} samples")
     _require_finite(x)
+    return _hc_statistic(x)
+
+
+def _hc_statistic(x: np.ndarray) -> float:
+    # hc_test_statistic of a 1-D float64 array already checked for length
+    # and finiteness.
+    m = x.size
     half = max(m // 2, 1)
     top = np.abs(x)
     top.partition(m - half)

@@ -21,10 +21,13 @@ NO_COMPILER = "no C compiler on PATH to build src/hcdetect/_native.c"
 GOLDEN_PLATFORM = ("x86_64", "X86_V4", "X86_V4")
 
 
-def skip_off_golden_platform() -> None:
-    """Skip the calling test unless this host dispatches exp and log as
-    ``GOLDEN_PLATFORM`` did."""
-    introspect = pytest.importorskip("numpy.lib.introspect")
+def _off_golden_platform() -> str | None:
+    """Why this host cannot check the golden digests, or None when it
+    dispatches exp and log as ``GOLDEN_PLATFORM`` did."""
+    try:
+        from numpy.lib import introspect
+    except ImportError:
+        return "this numpy has no numpy.lib.introspect to report its dispatch"
     dispatch = introspect.opt_func_info(func_name="^(exp|log)$", signature="float64")
     here = (
         platform.machine(),
@@ -32,7 +35,16 @@ def skip_off_golden_platform() -> None:
         dispatch["log"]["dd"]["current"],
     )
     if here != GOLDEN_PLATFORM:
-        pytest.skip(f"digests recorded on {GOLDEN_PLATFORM}, this is {here}")
+        return f"digests recorded on {GOLDEN_PLATFORM}, this is {here}"
+    return None
+
+
+def skip_off_golden_platform() -> None:
+    """Skip the calling test unless this host dispatches exp and log as
+    ``GOLDEN_PLATFORM`` did."""
+    reason = _off_golden_platform()
+    if reason:
+        pytest.skip(reason)
 
 
 def _c_compiler() -> str | None:
@@ -45,9 +57,12 @@ def _c_compiler() -> str | None:
 def pytest_report_header(config):
     cc = _c_compiler()
     agreement = f"runs on a kernel built with {cc}" if cc else f"skips: {NO_COMPILER}"
+    off_golden = _off_golden_platform()
+    golden = f"skips: {off_golden}" if off_golden else f"runs on {GOLDEN_PLATFORM}"
     return [
         f"hcdetect backend: {backend.backend_name()}",
         f"backend agreement test: {agreement}",
+        f"golden-digest test: {golden}",
     ]
 
 

@@ -170,6 +170,22 @@ def test_backends_agree(native_kernels):
         )
     edges = np.array([0.0, 0.5, 1.0, np.nan])
     np.testing.assert_array_equal(native_kernels.ndtri(edges), pure.ndtri(edges))
+    # The branches that call no exp or log are the same IEEE + - * / in the
+    # same order on both backends, so they give the same bits.
+    rng = np.random.default_rng(17)
+    x = np.concatenate([np.linspace(-30, 30, 100001), rng.standard_normal(300_000)])
+    u = np.concatenate([np.linspace(0.0, 1.0, 100001), rng.random(300_000)])
+    scaled = np.abs(x) * pure._INV_SQRT2
+    for fn, arr, exact in (
+        ("erfc", x, np.abs(x) < 1.25),
+        ("two_sided_p", x, scaled < 1.25),
+        ("gaussian_tail_prob", x, scaled < 1.25),
+        ("ndtri", u, np.abs(u - 0.5) <= 0.425),
+    ):
+        a = getattr(pure, fn)(arr)[exact]
+        b = getattr(native_kernels, fn)(arr)[exact]
+        assert exact.sum() > 100_000, fn
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64), fn)
 
 
 def _seam_inputs(n: int) -> dict[str, np.ndarray]:
@@ -214,3 +230,135 @@ def test_two_sided_p_temporaries_stay_block_sized():
     # the output plus one block's temporaries; the whole-array kernel
     # peaks at about 8.5x the input
     assert peak < 2.5 * z.nbytes
+
+
+# The pure kernels in boolean-mask form: every gather and scatter indexes
+# by a branch's mask. They do the arithmetic of ``_purekernels`` in the
+# same order, so they pin its output bits on any host; the golden digests
+# pin them on one platform only.
+def _mask_poly(coeffs, x):
+    acc = x * coeffs[-1] + coeffs[-2]
+    for c in reversed(coeffs[:-2]):
+        acc = acc * x + c
+    return acc
+
+
+def _mask_tail_factor(ax, r_over_s):
+    z = (ax.view(np.uint64) & np.uint64(0xFFFFFFFF00000000)).view(np.float64)
+    return np.exp(-z * z - 0.5625) * np.exp((z - ax) * (z + ax) + r_over_s)
+
+
+def _mask_erfc(x):
+    ax = np.abs(x)
+    out = np.where(x > 0.0, 0.0, 2.0)
+    m = ax < 2.0**-56
+    if m.any():
+        out[m] = 1.0 - x[m]
+    m = (ax >= 2.0**-56) & (ax < 0.84375)
+    if m.any():
+        xm = x[m]
+        z = xm * xm
+        y = _mask_poly(pure.PP, z) / _mask_poly(pure.QQ, z)
+        small = np.abs(xm) < 0.25
+        out[m] = np.where(small, 1.0 - (xm + xm * y), 0.5 - (xm * y + (xm - 0.5)))
+    m = (ax >= 0.84375) & (ax < 1.25)
+    if m.any():
+        s = ax[m] - 1.0
+        pq = _mask_poly(pure.PA, s) / _mask_poly(pure.QA, s)
+        out[m] = np.where(x[m] >= 0.0, 1.0 - pure.ERX - pq, 1.0 + (pure.ERX + pq))
+    m = (ax >= 1.25) & (ax < 28.0)
+    if m.any():
+        a = ax[m]
+        s = 1.0 / (a * a)
+        lo = a < 1.0 / 0.35
+        rs = np.empty_like(a)
+        if lo.any():
+            rs[lo] = _mask_poly(pure.RA, s[lo]) / _mask_poly(pure.SA, s[lo])
+        if (~lo).any():
+            rs[~lo] = _mask_poly(pure.RB, s[~lo]) / _mask_poly(pure.SB, s[~lo])
+        with np.errstate(under="ignore"):
+            r = _mask_tail_factor(a, rs) / a
+        out[m] = np.where(x[m] < 0.0, np.where(a > 6.0, 2.0, 2.0 - r), r)
+    m = np.isnan(x)
+    if m.any():
+        out[m] = np.nan
+    return out
+
+
+def _mask_ndtri(p):
+    q = p - 0.5
+    with np.errstate(all="ignore"):
+        r = 0.180625 - q * q
+        out = q * _mask_poly(pure.ND_A, r) / _mask_poly(pure.ND_B, r)
+    t = ~(np.abs(q) <= 0.425)
+    if t.any():
+        r = np.where(q[t] < 0.0, p[t], 1.0 - p[t])
+        bad = r <= 0.0
+        r = np.sqrt(-np.log(np.where(bad, np.nan, r)))
+        near = r <= 5.0
+        val = np.empty_like(r)
+        if near.any():
+            rr = r[near] - 1.6
+            val[near] = _mask_poly(pure.ND_C, rr) / _mask_poly(pure.ND_D, rr)
+        if (~near).any():
+            rr = r[~near] - 5.0
+            val[~near] = _mask_poly(pure.ND_E, rr) / _mask_poly(pure.ND_F, rr)
+        val = np.where(q[t] < 0.0, -val, val)
+        val[bad] = np.where(p[t][bad] <= 0.0, -np.inf, np.inf)
+        out[t] = val
+    m = np.isnan(p)
+    if m.any():
+        out[m] = np.nan
+    return out
+
+
+def _mask_two_sided_p(z):
+    p = _mask_erfc(np.abs(z) * (1.0 / np.sqrt(2.0)))
+    p = np.where(p >= 1.0, P_CEIL, p)
+    return np.maximum(p, P_FLOOR)
+
+
+MASK_ORACLES = {
+    name: pure._vectorized(fn)
+    for name, fn in (
+        ("erfc", _mask_erfc), ("ndtri", _mask_ndtri), ("two_sided_p", _mask_two_sided_p)
+    )
+}
+
+
+def _oracle_inputs() -> dict[str, list[np.ndarray]]:
+    # Per kernel: the golden grid, the block-seam inputs, an empty array,
+    # an input that lies wholly in the central branch and one wholly in the
+    # tails, every branch boundary of erfc and its neighbours, and a 2-D
+    # input.
+    x, u = _golden_grid()
+    cuts = np.array([2.0**-56, 0.25, 0.84375, 1.25, 1.0 / 0.35, 6.0, 28.0])
+    cuts = np.concatenate([cuts, cuts * np.sqrt(2.0)])
+    steps = np.arange(-2, 3)
+    cuts = (cuts.view(np.int64)[:, None] + steps).view(np.float64).ravel()
+    cuts = np.concatenate([cuts, -cuts])
+    seams = _seam_inputs(10_007)
+    rng = np.random.default_rng(2027)
+    central_x = rng.uniform(-0.84, 0.84, 5_000)
+    tail_x = rng.uniform(1.25, 40.0, 5_000) * rng.choice([-1.0, 1.0], 5_000)
+    central_u = rng.uniform(0.08, 0.92, 5_000)
+    tail_u = np.concatenate([
+        10.0 ** -rng.uniform(1.2, 300.0, 2_500), 1.0 - 10.0 ** -rng.uniform(1.2, 16.0, 2_500)
+    ])
+    empty = np.empty(0)
+    xs = [x, seams["erfc"], empty, central_x, tail_x, cuts, x[:120].reshape(10, 12)]
+    us = [u, seams["ndtri"], empty, central_u, tail_u, u[:120].reshape(10, 12)]
+    return {"erfc": xs, "two_sided_p": xs, "ndtri": us}
+
+
+@pytest.mark.parametrize("name", sorted(MASK_ORACLES))
+def test_pure_kernels_match_mask_oracle_bits(name):
+    fn, oracle = getattr(pure, name), MASK_ORACLES[name]
+    for arr in _oracle_inputs()[name]:
+        got, want = fn(arr), oracle(arr)
+        assert got.shape == want.shape == arr.shape, name
+        assert got.tobytes() == want.tobytes(), (name, arr.shape)
+    for value in (0.0, -0.0, 0.3, 0.97, 1.3, -7.5, 30.0, np.inf, np.nan):
+        got, want = fn(value), oracle(value)
+        assert type(got) is type(want) is float, name
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (name, value)
