@@ -185,15 +185,8 @@ void hc_ndtri(const double *in, double *out, size_t n)
         out[i] = ndtri1(in[i]);
 }
 
-/* Unclamped P(|N(0,1)| > |z|), oracle-comparable. */
-void hc_gaussian_tail_prob(const double *in, double *out, size_t n)
-{
-    for (size_t i = 0; i < n; i++)
-        out[i] = erfc1(fabs(in[i]) * INV_SQRT2);
-}
-
-/* The same probability clamped to [P_FLOOR, P_CEIL]; an exact 1 maps to
- * the ceiling. */
+/* P(|N(0,1)| > |z|) clamped to [P_FLOOR, P_CEIL]; an exact 1 maps to the
+ * ceiling. */
 void hc_two_sided_p(const double *in, double *out, size_t n)
 {
     for (size_t i = 0; i < n; i++) {

@@ -338,9 +338,3 @@ def two_sided_p(z) -> np.ndarray:
     p = erfc(a)
     np.copyto(p, P_CEIL, where=p >= 1.0)
     return np.maximum(p, P_FLOOR, out=p)
-
-
-@_vectorized
-def gaussian_tail_prob(z) -> np.ndarray:
-    """Unclamped two-sided tail probability (oracle-comparable)."""
-    return erfc(np.abs(z) * _INV_SQRT2)

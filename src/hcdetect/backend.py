@@ -29,7 +29,7 @@ import numpy as np
 from . import _purekernels
 from ._purekernels import _vectorized
 
-KERNELS = ("erfc", "ndtri", "two_sided_p", "gaussian_tail_prob")
+KERNELS = ("erfc", "ndtri", "two_sided_p")
 
 
 def _wrap(cfn, name: str):
@@ -78,10 +78,10 @@ if _requested != "pure":
 erfc = _impl.erfc
 ndtri = _impl.ndtri
 two_sided_p = _impl.two_sided_p
-gaussian_tail_prob = _impl.gaussian_tail_prob
 
 P_FLOOR = _purekernels.P_FLOOR
 P_CEIL = _purekernels.P_CEIL
+INV_SQRT2 = _purekernels._INV_SQRT2
 
 
 def backend_name() -> str:

@@ -4,17 +4,15 @@ fraction-of-significances form, and kurtosis.
 
 All moments are population moments (divide by m) from correctly rounded
 sums, so results are invariant under permutation of the input, bit for
-bit: the mean is ``math.fsum`` of the samples, and the power sums add
-their libm ``pow`` terms exactly as integers binned by binary exponent,
-then round once.
+bit: one exact sum adds the signed terms (the samples themselves for the
+mean, libm ``pow`` terms for the power sums) as integers binned by
+binary exponent, then rounds once.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -120,28 +118,20 @@ class HCProfile:
     max_rank: int
 
 
+# An exact sum of x**exponent, for exponent 1 (the mean) or an even one.
+# For 1 the terms are the signed samples themselves. Otherwise they come
+# from np.float_power, which has no SIMD loop: its float64 loop calls libm
+# ``pow``, here on |x| as CPython's float ``pow`` does for an integer
+# exponent, so every term equals the Python-float term bit for bit
+# (numpy's ``power`` and ``square`` round some differently). frexp writes
+# a finite term as m * 2**(e - 53) with |m| < 2**53 an integer, split into
+# m >> 26 (arithmetic, so below 2**27 in magnitude) and the low 26 bits
+# (in [0, 2**26)). Per 2**16-sample chunk, np.bincount adds each half by
+# exponent: below 2**43 in magnitude, so exact in float64 in any order.
+# The int64 bins stay exact up to 2**36 samples. One Python int of the
+# bins, divided by a power of two, rounds half-even once: the correctly
+# rounded sum, raising OverflowError when that lies past the float range.
 _CHUNK = 1 << 16
-
-
-def _floats(values: np.ndarray) -> Iterator[float]:
-    # The values as Python floats, in order, from 2**16-sample chunks, so
-    # only one chunk at a time is a list of Python floats.
-    return chain.from_iterable(
-        values[i : i + _CHUNK].tolist() for i in range(0, values.size, _CHUNK)
-    )
-
-
-# An exact power sum. np.float_power has no SIMD loop: its float64 loop
-# calls libm ``pow``, here on |x| as CPython's float ``pow`` does for an
-# integer exponent, so every term equals the Python-float term bit for
-# bit (numpy's ``power`` and ``square`` round some differently). frexp
-# writes a finite term as m * 2**(e - 53) with m < 2**53 an integer, split
-# into m >> 26 (below 2**27) and the low 26 bits. Per 2**16-sample chunk,
-# np.bincount adds each half by exponent: below 2**43, so exact in float64
-# in any order. The int64 bins stay exact up to 2**36 samples. One Python
-# int of the bins, divided by a power of two, rounds half-even once: the
-# correctly rounded sum that ``math.fsum`` returns, raising OverflowError
-# past the float range as it does.
 _SPLIT = 26
 _BIAS = 1074  # frexp exponents of nonzero finite doubles: -1073 .. 1024
 _BINS = _BIAS + 1025
@@ -151,8 +141,10 @@ def _power_sum(values: np.ndarray, exponent: int) -> float:
     hi_bins = np.zeros(_BINS, dtype=np.int64)
     lo_bins = np.zeros(_BINS, dtype=np.int64)
     for i in range(0, values.size, _CHUNK):
-        with np.errstate(over="ignore", under="ignore"):
-            terms = np.float_power(np.abs(values[i : i + _CHUNK]), float(exponent))
+        terms = values[i : i + _CHUNK]
+        if exponent != 1:
+            with np.errstate(over="ignore", under="ignore"):
+                terms = np.float_power(np.abs(terms), float(exponent))
         if not np.isfinite(terms).all():
             raise OverflowError("a power of a sample overflows float64")
         mant, exp = np.frexp(terms)
@@ -176,7 +168,7 @@ def standardize(series: TimeSeries) -> StandardizedSeries:
     """
     arr = series.values
     try:
-        mean = math.fsum(_floats(arr)) / arr.size
+        mean = _power_sum(arr, 1) / arr.size
         with np.errstate(over="ignore"):
             dev = arr - mean
         sd = math.sqrt(_power_sum(dev, 2) / arr.size)
@@ -205,7 +197,7 @@ def two_sided_p(x: float) -> float:
 
 def gaussian_tail_prob(x: float) -> float:
     """Unclamped P(|N(0,1)| > |x|), for oracle comparison."""
-    return float(backend.gaussian_tail_prob(np.asarray([x]))[0])
+    return float(backend.erfc(np.abs(np.asarray([x])) * backend.INV_SQRT2)[0])
 
 
 def hc_from_sorted_p(p_sorted: np.ndarray) -> np.ndarray:

@@ -109,10 +109,12 @@ class TestStandardize:
         "values",
         [
             [1e200, -1e200, 0.0, 1.0],  # the squared deviations overflow
-            [1.7e308, 1.7e308, -1.7e308],  # the sum of the samples overflows
+            # a partial sum overflows, the exact sum does not, and then a
+            # deviation from the mean overflows
+            [1.7e308, 1.7e308, -1.7e308],
             [1.7e308, -1.7e308, -1.7e308],  # a deviation from the mean overflows
-            # fsum's running sum overflows although the mean would fit; an
-            # exact mean would turn these into a zero variance and a success
+            # the exact sum of the samples overflows, although the mean
+            # would fit
             [1.7e308] * 3,
             [1.7e308, 1.7e308, 1.6999999999999998e308],
         ],
@@ -273,13 +275,26 @@ def _terms_summing_to(bits: list[int], exponent: int) -> list[float]:
     return values
 
 
+def _exact_sum(values: np.ndarray, exponent: int) -> float:
+    # The sum of the Python-float terms, rounded once. For exponent 1 that
+    # is the exact rational sum, float(sum(map(Fraction, values))), since
+    # fsum also raises when a partial sum overflows. It is formed faster
+    # in units of 2**-1074: each value is n / 2**k with k <= 1074, and the
+    # int true division rounds the total once, half-even.
+    if exponent == 1:
+        ratios = map(float.as_integer_ratio, values.tolist())
+        return sum(n << (1074 - (d.bit_length() - 1)) for n, d in ratios) / (1 << 1074)
+    return math.fsum(map(pow, values.tolist(), repeat(exponent)))
+
+
 class TestPowerSum:
     @staticmethod
     def _check(values, exponent):
-        # Equal to the Python-float form, or OverflowError on both sides.
+        # Equal to the exact sum of the Python-float terms rounded once, or
+        # OverflowError on both sides.
         values = np.asarray(values, dtype=np.float64)
         try:
-            want = math.fsum(map(pow, values.tolist(), repeat(exponent)))
+            want = _exact_sum(values, exponent)
         except OverflowError:
             with pytest.raises(OverflowError):
                 _power_sum(values, exponent)
@@ -322,10 +337,9 @@ class TestPowerSum:
             "subnormal_fourths", "zeros", "negative_zeros", "negative",
         ],
     )
-    @pytest.mark.parametrize("exponent", [2, 4])
+    @pytest.mark.parametrize("exponent", [1, 2, 4])
     def test_chunks_match_whole_list_form_exactly(self, values, exponent):
-        want = math.fsum(map(pow, values.tolist(), repeat(exponent)))
-        assert _power_sum(values, exponent) == want
+        assert _power_sum(values, exponent) == _exact_sum(values, exponent)
 
     @pytest.mark.parametrize(
         "bits",
@@ -346,13 +360,13 @@ class TestPowerSum:
             "at_max_tie", "above_max", "two_halves", "three_quarters",
         ],
     )
-    @pytest.mark.parametrize("exponent", [2, 4])
+    @pytest.mark.parametrize("exponent", [1, 2, 4])
     def test_rounds_half_even_and_overflows_like_fsum(self, bits, exponent):
         values = _terms_summing_to(list(bits), exponent)
         self._check(values, exponent)
         self._check([-v for v in values], exponent)
 
-    @pytest.mark.parametrize("exponent", [2, 4])
+    @pytest.mark.parametrize("exponent", [1, 2, 4])
     def test_full_bins_of_largest_mantissa(self, exponent):
         # The largest double whose power stays below 2: its term's mantissa
         # is all ones, or one below, so the high half of the split is at
@@ -368,25 +382,35 @@ class TestPowerSum:
     @given(
         st.lists(finite_values, max_size=64)
         | st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=16),
-        st.sampled_from([2, 4]),
+        st.sampled_from([1, 2, 4]),
     )
     @settings(max_examples=200)
     def test_property_finite_values(self, values, exponent):
         self._check(values, exponent)
 
-    def test_only_the_mean_reads_math_fsum(self, monkeypatch):
-        calls = []
-        fsum = math.fsum
+    def test_signed_sum_survives_an_overflowing_partial_sum(self):
+        values = np.array([1.7e308, 1.7e308, -1.7e308])
+        with pytest.raises(OverflowError):
+            math.fsum(values.tolist())
+        assert _power_sum(values, 1) == 1.7e308
 
-        def counting(iterable):
-            calls.append(iterable)
-            return fsum(iterable)
+    def test_moments_sum_once_and_kurtosis_reuses_them(self, monkeypatch):
+        exponents = []
 
-        monkeypatch.setattr(core.math, "fsum", counting)
+        def counting(values, exponent):
+            exponents.append(exponent)
+            return power_sum(values, exponent)
+
+        def no_fsum(iterable):
+            raise AssertionError("math.fsum called")
+
+        power_sum = core._power_sum
+        monkeypatch.setattr(core, "_power_sum", counting)
+        monkeypatch.setattr(math, "fsum", no_fsum)
         std = standardize(TimeSeries(values=_criterion_4_input(seed=16)))
-        assert len(calls) == 1
+        assert exponents == [1, 2]
         _kurtosis_of(std)
-        assert len(calls) == 1
+        assert exponents == [1, 2, 4]
 
 
 class TestTimeSeries:

@@ -47,15 +47,14 @@ def _detect(tmp_path: Path, path: Path, fmt: str, *flags: str) -> None:
     assert main(argv) == 0
 
 
-def _detect_raw(tmp_path: Path) -> None:
+def _detect_raw(tmp_path: Path, *flags: str) -> None:
     # 2e4 samples: well above EXACT_SIZE_LIMIT, so the D² draws and Lloyd run.
     path = _write_raw(tmp_path / "in.bin", _spiky(101, 20_000, 9.0))
-    _detect(tmp_path, path, "raw_f64_le")
+    _detect(tmp_path, path, "raw_f64_le", *flags)
 
 
 def _detect_restricted(tmp_path: Path) -> None:
-    path = _write_raw(tmp_path / "in.bin", _spiky(101, 20_000, 9.0))
-    _detect(tmp_path, path, "raw_f64_le", "--restricted-ranks")
+    _detect_raw(tmp_path, "--restricted-ranks")
 
 
 def _detect_integer(tmp_path: Path) -> None:

@@ -147,7 +147,7 @@ def test_pure_kernels_match_golden_bits():
 
 def test_backends_agree(native_kernels):
     x = np.linspace(-30, 30, 100001)
-    for fn in ("erfc", "two_sided_p", "gaussian_tail_prob"):
+    for fn in ("erfc", "two_sided_p"):
         a = np.asarray(getattr(pure, fn)(x))
         b = np.asarray(getattr(native_kernels, fn)(x))
         rel = np.abs(a - b) / np.maximum(np.abs(a), 1e-280)
@@ -164,7 +164,7 @@ def test_backends_agree(native_kernels):
     assert rel.max() < 1e-13
     # clamps, saturation and NaN give exact values on both backends
     edges = np.array([0.0, -0.0, 1e-300, 1e-17, 40.0, -40.0, np.inf, np.nan])
-    for fn in ("erfc", "two_sided_p", "gaussian_tail_prob"):
+    for fn in ("erfc", "two_sided_p"):
         np.testing.assert_array_equal(
             getattr(native_kernels, fn)(edges), getattr(pure, fn)(edges), fn
         )
@@ -179,7 +179,6 @@ def test_backends_agree(native_kernels):
     for fn, arr, exact in (
         ("erfc", x, np.abs(x) < 1.25),
         ("two_sided_p", x, scaled < 1.25),
-        ("gaussian_tail_prob", x, scaled < 1.25),
         ("ndtri", u, np.abs(u - 0.5) <= 0.425),
     ):
         a = getattr(pure, fn)(arr)[exact]
@@ -197,7 +196,7 @@ def _seam_inputs(n: int) -> dict[str, np.ndarray]:
     u = rng.random(n)
     edges = [0.0, 1.0, 0.5, np.nan, 1e-300]
     u[np.linspace(0, n - 1, len(edges)).astype(int)] = edges
-    return {"erfc": x, "two_sided_p": x, "gaussian_tail_prob": x, "ndtri": u}
+    return {"erfc": x, "two_sided_p": x, "ndtri": u}
 
 
 @pytest.mark.parametrize("block", [7, pure._BLOCK])
