@@ -84,6 +84,15 @@ def _simulate_sparse(tmp_path: Path) -> None:
     )
 
 
+def _simulate_sparse_sweep(tmp_path: Path) -> None:
+    # Several specs share each replicate's draws, spread over two threads.
+    _simulate(
+        tmp_path, "simulate-sparse", "--variant", "both", "--eps", "0.02,0.1",
+        "--mu", "1.0,2.5", "--m-grid", "100,400,1600", "--replicates", "6",
+        "--threads", "2",
+    )
+
+
 def _simulate_mean_bootstrap(tmp_path: Path) -> None:
     _simulate(
         tmp_path, "simulate-mean", "--mu", "0.3,1.0", "--scheme", "bootstrap",
@@ -98,6 +107,7 @@ CASES = {
     "detect_integer": _detect_integer,
     "stats": _stats,
     "simulate_sparse": _simulate_sparse,
+    "simulate_sparse_sweep": _simulate_sparse_sweep,
     "simulate_mean_bootstrap": _simulate_mean_bootstrap,
 }
 
@@ -156,6 +166,10 @@ PAYLOAD_DIGESTS = {
     "simulate_sparse": {
         "curve.csv": "494646d7356a1f376b699a16b8901bbd4e12f801e8a42eaf5133ca524c5be100",
         "curve.json": "23c089c06939bbeab1c179b17029ad3f031febc1c0fc25cbd860fbcca6660a3d",
+    },
+    "simulate_sparse_sweep": {
+        "curve.csv": "bd52d8fe6944f29c332935e8e2e418cac7f3fcb2f9bc7fb9aecf406ba0829782",
+        "curve.json": "9b6ecfb5b0de80ff9d8322545de1db56876942b4f7a20275308b3e34d1bffcae",
     },
     "stats": {
         "stats.json": "e4e2ade0d30cddd2e077e55f066e975a084decc4e5914d11c7d38cf8e6175fd3",
