@@ -1,16 +1,18 @@
 """Monte Carlo laboratory: sample generators, replicated HC aggregation,
 and the detection-boundary (m*) crossing finder.
 
-One grid runner, ``_curve``, computes every boundary: it aggregates each
-(spec, m) cell on one thread pool and reads m* off each spec's trace.
-``find_crossing`` is a curve of one spec.
+One grid runner, ``_curve``, computes every boundary: it runs one task
+per (m, r) replicate on one thread pool, aggregates each (spec, m) cell
+and reads m* off each spec's trace. ``find_crossing`` is a curve of one
+spec, and ``mc_hc`` one cell.
 
 Samples are tested against the standard normal directly (no
 standardization: a pure mean shift must remain detectable, and the
 standardized version of any i.i.d. normal sample is distribution-free of
 its parameters). Replicate r of a run at size m draws its generator from
-the entropy tuple (master seed, m, r), so results are independent of
-execution order and worker count.
+the entropy tuple (master seed, m, r), whatever the spec, so results are
+independent of execution order and worker count, and one draw serves
+every spec of a sweep (common random numbers).
 
 Normal variates are produced by inverse-CDF transform of PCG64 uniforms,
 which is reproducible bit-for-bit across platforms for a fixed numpy
@@ -19,6 +21,7 @@ stream version.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
@@ -150,6 +153,33 @@ def _standard_normals(m: int, rng: np.random.Generator) -> np.ndarray:
     return np.asarray(backend.ndtri(u))
 
 
+def _draw(
+    m: int, rng: np.random.Generator, mixture: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The normal block z, then the Bernoulli selector's uniforms when a
+    mixture needs them: every kind reads the stream in this order."""
+    z = _standard_normals(m, rng)
+    return z, (rng.random(m) if mixture else None)
+
+
+def _combine(
+    spec: GeneratorSpec, z: np.ndarray, sel: np.ndarray | None, out: np.ndarray
+) -> np.ndarray:
+    """spec's samples from the draws, written into out (which shares no
+    memory with them): z + mu, z + mu * (sel < eps), or z * scale + mu."""
+    if spec.kind == "null":
+        np.copyto(out, z)
+    elif spec.kind == "shifted_mean":
+        np.add(z, spec.mu, out=out)
+    elif spec.kind == "sparse_mixture":
+        np.multiply(spec.mu, sel < spec.eps, out=out)
+        out += z
+    else:  # sparse_sum
+        np.multiply(z, np.sqrt((1.0 - spec.eps) ** 2 + spec.eps**2), out=out)
+        out += spec.mu
+    return out
+
+
 def sample(spec: GeneratorSpec, m: int, seed) -> TimeSeries:
     """Draw m samples; deterministic in (spec, m, seed).
 
@@ -160,33 +190,59 @@ def sample(spec: GeneratorSpec, m: int, seed) -> TimeSeries:
     if m < MIN_LENGTH:
         raise DomainError(f"m must be >= {MIN_LENGTH}")
     rng = np.random.default_rng(seed)
-    # z is a fresh array: combine into it in place (the same IEEE
-    # operations as z + mu * signal and mu + scale * z)
-    z = _standard_normals(m, rng)
-    if spec.kind == "shifted_mean":
-        z += spec.mu
-    elif spec.kind == "sparse_mixture":
-        signal = rng.random(m) < spec.eps
-        z += spec.mu * signal
-    elif spec.kind == "sparse_sum":
-        z *= np.sqrt((1.0 - spec.eps) ** 2 + spec.eps**2)
-        z += spec.mu
-    return _adopt(z)
+    z, sel = _draw(m, rng, spec.kind == "sparse_mixture")
+    return _adopt(_combine(spec, z, sel, np.empty(m)))
 
 
-def _replicate_hcs(spec: GeneratorSpec, m: int, config: SimConfig) -> np.ndarray:
-    # sample() has checked every draw, so the statistic skips its checks
-    out = np.empty(config.replicates)
+def _fill(
+    specs: list[GeneratorSpec], m: int, reps: range, config: SimConfig,
+    hcs: np.ndarray,
+) -> None:
+    # hcs[s, r] = the HC statistic of spec s in replicate r, for r in reps.
+    # Each replicate's draws are made once and combined per spec in one
+    # scratch buffer. |z| < 9 and mu is finite, so every x is finite and
+    # the statistic skips its checks.
+    mixture = any(spec.kind == "sparse_mixture" for spec in specs)
+    x = np.empty(m)
+    if config.scheme == "bootstrap":
+        # resample one base draw with replacement; the gather commutes with
+        # the element-wise combine, so each replicate gathers once
+        base = _draw(m, np.random.default_rng((config.seed, m)), mixture)
+    for r in reps:
+        rng = np.random.default_rng((config.seed, m, r))
+        if config.scheme == "fresh":
+            z, sel = _draw(m, rng, mixture)
+        else:
+            idx = rng.integers(0, m, m)
+            z, sel = (None if a is None else a[idx] for a in base)
+        for s, spec in enumerate(specs):
+            hcs[s, r] = _hc_statistic(_combine(spec, z, sel, x))
+
+
+def _hc_table(
+    specs: list[GeneratorSpec], config: SimConfig, grid: tuple[int, ...]
+) -> np.ndarray:
+    """The [spec, m, replicate] table of HC statistics.
+
+    Fresh replicates are one task each; a bootstrap size is one task, as
+    its replicates share the base draw. The pool never outgrows the tasks
+    or the CPUs, and each task writes only its own slots.
+    """
+    hcs = np.empty((len(specs), len(grid), config.replicates))
     if config.scheme == "fresh":
-        for r in range(config.replicates):
-            x = sample(spec, m, (config.seed, m, r))
-            out[r] = _hc_statistic(x.values)
-    else:  # bootstrap: resample one base draw with replacement
-        base = sample(spec, m, (config.seed, m)).values
-        for r in range(config.replicates):
-            rng = np.random.default_rng((config.seed, m, r))
-            out[r] = _hc_statistic(base[rng.integers(0, m, m)])
-    return out
+        tasks = [(j, range(r, r + 1)) for j in range(len(grid))
+                 for r in range(config.replicates)]
+    else:
+        tasks = [(j, range(config.replicates)) for j in range(len(grid))]
+
+    def run(task):
+        j, reps = task
+        _fill(specs, grid[j], reps, config, hcs[:, j])
+
+    workers = min(config.workers, len(tasks), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run, tasks))
+    return hcs
 
 
 def _aggregate(values: np.ndarray, how: str) -> float:
@@ -197,7 +253,7 @@ def mc_hc(
     spec: GeneratorSpec, m: int, config: SimConfig
 ) -> tuple[float, np.ndarray]:
     """Aggregate the HC statistic over seeded replicates at size m."""
-    reps = _replicate_hcs(spec, m, config)
+    reps = _hc_table([spec], config, (m,))[0, 0]
     return _aggregate(reps, config.aggregator), reps
 
 
@@ -222,22 +278,16 @@ def find_crossing(
 def _curve(
     kind: str, specs: list[tuple[dict, GeneratorSpec]], config: SimConfig
 ) -> BoundaryCurve:
-    """The grid runner: every (spec, m) cell in spec-major order on one
-    thread pool, each cell's aggregate independent of the others."""
+    """The grid runner: the (m, r) replicates on one thread pool, each
+    drawn once for every spec, then each (spec, m) cell aggregated and
+    m* read off each spec's trace."""
     grid = config.m_grid
     thresholds = [asymptotic_threshold(m) for m in grid]
-    tasks = [(spec, m) for _, spec in specs for m in grid]
-
-    def run(task):
-        spec, m = task
-        return mc_hc(spec, m, config)[0]
-
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        aggs = list(pool.map(run, tasks))
+    hcs = _hc_table([spec for _, spec in specs], config, grid)
 
     points = []
-    for i, (params, _) in enumerate(specs):
-        row = aggs[i * len(grid) : (i + 1) * len(grid)]
+    for (params, _), cells in zip(specs, hcs):
+        row = [_aggregate(reps, config.aggregator) for reps in cells]
         trace = tuple(map(TracePoint, grid, row, thresholds))
         m_star = _first_crossing(trace, config.hysteresis)
         points.append(BoundaryPoint(params=params, m_star=m_star, trace=trace))

@@ -16,8 +16,18 @@ from hcdetect import (
     mc_hc,
     sample,
 )
+from hcdetect import simlab
 from hcdetect.errors import DomainError
-from hcdetect.simlab import _first_crossing, default_m_grid
+from hcdetect.simlab import _curve, _first_crossing, default_m_grid
+
+# One spec of every kind, two of them with a negative mu.
+ALL_KINDS = [
+    ({"spec": "null"}, GeneratorSpec.null()),
+    ({"spec": "mean"}, GeneratorSpec.shifted_mean(-0.4)),
+    ({"spec": "mixture"}, GeneratorSpec.sparse_mixture(0.05, 2.0)),
+    ({"spec": "mixture-"}, GeneratorSpec.sparse_mixture(0.3, -1.5)),
+    ({"spec": "sum"}, GeneratorSpec.sparse_sum(0.3, 2.0)),
+]
 
 
 class TestGeneratorSpec:
@@ -181,26 +191,18 @@ class TestBoundaryGrids:
         assert curve.points[0].m_star == m_star
         assert list(curve.points[0].trace) == trace
 
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("aggregator", ["mean", "median"])
     @pytest.mark.parametrize("scheme", ["fresh", "bootstrap"])
-    def test_sparse_grid_matches_the_documented_recipe(
-        self, scheme, aggregator, workers
-    ):
+    def test_curve_matches_the_documented_recipe(self, scheme, aggregator, workers):
+        # The reference draws every (spec, m, r) sample on its own.
         config = SimConfig(
             replicates=4, m_grid=(200, 500, 1000), seed=12, aggregator=aggregator,
             scheme=scheme, workers=workers,
         )
-        curve = boundary_grid_sparse([0.05, 0.3], [2.0], config)
-        assert [(p.params["variant"], p.params["eps"]) for p in curve.points] == [
-            ("sparse_mixture", 0.05), ("sparse_mixture", 0.3),
-            ("sparse_sum", 0.05), ("sparse_sum", 0.3),
-        ]
+        curve = _curve("all", ALL_KINDS, config)
         aggregate = np.mean if aggregator == "mean" else np.median
-        for point in curve.points:
-            spec = GeneratorSpec(
-                kind=point.params["variant"], mu=2.0, eps=point.params["eps"]
-            )
+        for (params, spec), point in zip(ALL_KINDS, curve.points):
             expected = []
             for m in config.m_grid:
                 if scheme == "fresh":
@@ -218,8 +220,16 @@ class TestBoundaryGrids:
                     ]
                 agg = float(aggregate(hcs))
                 expected.append(TracePoint(m, agg, asymptotic_threshold(m)))
+            assert point.params == params
             assert list(point.trace) == expected
-            assert point.m_star == find_crossing(spec, config)[0]
+            assert point.m_star == _first_crossing(tuple(expected), 2)
+
+    @pytest.mark.parametrize("scheme", ["fresh", "bootstrap"])
+    def test_spec_order_does_not_change_traces(self, scheme):
+        config = SimConfig(replicates=3, m_grid=(100, 400), seed=5, scheme=scheme)
+        forward = _curve("all", ALL_KINDS, config).points
+        backward = _curve("all", ALL_KINDS[::-1], config).points
+        assert forward == backward[::-1]
 
     def test_mean_curve_monotone_for_strong_signals(self):
         config = SimConfig(
@@ -232,9 +242,11 @@ class TestBoundaryGrids:
 
     def test_sparse_curve_has_both_variants(self):
         config = SimConfig(replicates=6, m_grid=(500, 1000), seed=3)
-        curve = boundary_grid_sparse([0.1], [1.0], config)
-        variants = {p.params["variant"] for p in curve.points}
-        assert variants == {"sparse_mixture", "sparse_sum"}
+        curve = boundary_grid_sparse([0.1, 0.3], [1.0], config)
+        assert [(p.params["variant"], p.params["eps"]) for p in curve.points] == [
+            ("sparse_mixture", 0.1), ("sparse_mixture", 0.3),
+            ("sparse_sum", 0.1), ("sparse_sum", 0.3),
+        ]
 
     def test_empty_grids_rejected(self):
         config = SimConfig(replicates=5, m_grid=(500,), seed=1)
@@ -242,6 +254,49 @@ class TestBoundaryGrids:
             boundary_grid_mean([], config)
         with pytest.raises(DomainError):
             boundary_grid_sparse([], [1.0], config)
+
+
+class _SerialPool:
+    """Stands in for ThreadPoolExecutor: records its size, starts no thread."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+class TestThreadPool:
+    @pytest.mark.parametrize(
+        "workers,cpus,scheme,size",
+        [
+            (500, 64, "fresh", 6),  # 2 sizes x 3 replicates
+            (500, 64, "bootstrap", 2),  # one task per size
+            (500, 4, "fresh", 4),
+            (500, None, "fresh", 1),
+            (3, 64, "fresh", 3),
+        ],
+    )
+    def test_pool_is_bounded_by_tasks_and_cpus(
+        self, monkeypatch, workers, cpus, scheme, size
+    ):
+        monkeypatch.setattr(simlab, "ThreadPoolExecutor", _SerialPool)
+        monkeypatch.setattr(simlab.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(_SerialPool, "sizes", [])
+        config = SimConfig(
+            replicates=3, m_grid=(100, 200), seed=1, scheme=scheme, workers=workers
+        )
+        _, trace = find_crossing(GeneratorSpec.shifted_mean(1.0), config)
+        assert _SerialPool.sizes == [size]
+        assert [t.m for t in trace] == [100, 200]
 
 
 class TestSimConfig:
