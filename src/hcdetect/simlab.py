@@ -22,6 +22,7 @@ stream version.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
@@ -165,8 +166,9 @@ def _draw(
 def _combine(
     spec: GeneratorSpec, z: np.ndarray, sel: np.ndarray | None, out: np.ndarray
 ) -> np.ndarray:
-    """spec's samples from the draws, written into out (which shares no
-    memory with them): z + mu, z + mu * (sel < eps), or z * scale + mu."""
+    """spec's samples from the draws, written into out: z + mu,
+    z + mu * (sel < eps), or z * scale + mu. out may be the one draw the
+    spec reads last (z, or sel for the mixture), or memory of its own."""
     if spec.kind == "null":
         np.copyto(out, z)
     elif spec.kind == "shifted_mean":
@@ -191,32 +193,8 @@ def sample(spec: GeneratorSpec, m: int, seed) -> TimeSeries:
         raise DomainError(f"m must be >= {MIN_LENGTH}")
     rng = np.random.default_rng(seed)
     z, sel = _draw(m, rng, spec.kind == "sparse_mixture")
-    return _adopt(_combine(spec, z, sel, np.empty(m)))
-
-
-def _fill(
-    specs: list[GeneratorSpec], m: int, reps: range, config: SimConfig,
-    hcs: np.ndarray,
-) -> None:
-    # hcs[s, r] = the HC statistic of spec s in replicate r, for r in reps.
-    # Each replicate's draws are made once and combined per spec in one
-    # scratch buffer. |z| < 9 and mu is finite, so every x is finite and
-    # the statistic skips its checks.
-    mixture = any(spec.kind == "sparse_mixture" for spec in specs)
-    x = np.empty(m)
-    if config.scheme == "bootstrap":
-        # resample one base draw with replacement; the gather commutes with
-        # the element-wise combine, so each replicate gathers once
-        base = _draw(m, np.random.default_rng((config.seed, m)), mixture)
-    for r in reps:
-        rng = np.random.default_rng((config.seed, m, r))
-        if config.scheme == "fresh":
-            z, sel = _draw(m, rng, mixture)
-        else:
-            idx = rng.integers(0, m, m)
-            z, sel = (None if a is None else a[idx] for a in base)
-        for s, spec in enumerate(specs):
-            hcs[s, r] = _hc_statistic(_combine(spec, z, sel, x))
+    # the draws are fresh: combine into the last one read
+    return _adopt(_combine(spec, z, sel, z if sel is None else sel))
 
 
 def _hc_table(
@@ -224,22 +202,46 @@ def _hc_table(
 ) -> np.ndarray:
     """The [spec, m, replicate] table of HC statistics.
 
-    Fresh replicates are one task each; a bootstrap size is one task, as
-    its replicates share the base draw. The pool never outgrows the tasks
-    or the CPUs, and each task writes only its own slots.
+    One task per (m, r) replicate makes its draws once and combines them
+    per spec in one scratch buffer; a bootstrap replicate gathers from
+    its size's base draw at (seed, m), as the gather commutes with the
+    element-wise combine. Each task writes only its own slots. |z| < 9
+    and mu is finite, so every sample is finite and the statistic skips
+    its checks.
     """
+    mixture = any(spec.kind == "sparse_mixture" for spec in specs)
     hcs = np.empty((len(specs), len(grid), config.replicates))
-    if config.scheme == "fresh":
-        tasks = [(j, range(r, r + 1)) for j in range(len(grid))
-                 for r in range(config.replicates)]
-    else:
-        tasks = [(j, range(config.replicates)) for j in range(len(grid))]
+    # bootstrap: size j's base draw, made by the first replicate that
+    # needs it and dropped once the last one has it
+    bases = [None] * len(grid)
+    left = [config.replicates] * len(grid)
+    locks = [threading.Lock() for _ in grid]
+
+    def base(j):
+        with locks[j]:
+            if bases[j] is None:
+                rng = np.random.default_rng((config.seed, grid[j]))
+                bases[j] = _draw(grid[j], rng, mixture)
+            drawn, left[j] = bases[j], left[j] - 1
+            if not left[j]:
+                bases[j] = None
+            return drawn
 
     def run(task):
-        j, reps = task
-        _fill(specs, grid[j], reps, config, hcs[:, j])
+        j, r = task
+        m = grid[j]
+        rng = np.random.default_rng((config.seed, m, r))
+        if config.scheme == "fresh":
+            z, sel = _draw(m, rng, mixture)
+        else:  # resample the base draw with replacement
+            idx = rng.integers(0, m, m)
+            z, sel = (None if a is None else a[idx] for a in base(j))
+        x = np.empty(m)
+        for s, spec in enumerate(specs):
+            hcs[s, j, r] = _hc_statistic(_combine(spec, z, sel, x))
 
-    workers = min(config.workers, len(tasks), os.cpu_count() or 1)
+    tasks = [(j, r) for j in range(len(grid)) for r in range(config.replicates)]
+    workers = min(config.workers, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run, tasks))
     return hcs
@@ -253,6 +255,8 @@ def mc_hc(
     spec: GeneratorSpec, m: int, config: SimConfig
 ) -> tuple[float, np.ndarray]:
     """Aggregate the HC statistic over seeded replicates at size m."""
+    if m < MIN_LENGTH:
+        raise DomainError(f"m must be >= {MIN_LENGTH}")
     reps = _hc_table([spec], config, (m,))[0, 0]
     return _aggregate(reps, config.aggregator), reps
 

@@ -110,6 +110,11 @@ class TestMcHc:
         agg, reps = mc_hc(GeneratorSpec.null(), 1000, config)
         assert agg == np.median(reps)
 
+    @pytest.mark.parametrize("m", [2, 0, -1])
+    def test_short_size_rejected(self, m):
+        with pytest.raises(DomainError, match="m must be >= 3"):
+            mc_hc(GeneratorSpec.null(), m, SimConfig(replicates=2, seed=1))
+
     def test_bootstrap_scheme_runs(self):
         config = SimConfig(replicates=8, seed=6, scheme="bootstrap")
         agg, reps = mc_hc(GeneratorSpec.shifted_mean(0.5), 2000, config)
@@ -256,6 +261,21 @@ class TestBoundaryGrids:
             boundary_grid_sparse([], [1.0], config)
 
 
+def test_bootstrap_draws_each_base_once(monkeypatch):
+    draws, draw = [], simlab._draw
+
+    def counted(m, rng, mixture):
+        draws.append(m)
+        return draw(m, rng, mixture)
+
+    monkeypatch.setattr(simlab, "_draw", counted)
+    config = SimConfig(
+        replicates=4, m_grid=(100, 200), seed=2, scheme="bootstrap", workers=2
+    )
+    boundary_grid_sparse([0.1], [1.0, 2.0], config)
+    assert sorted(draws) == [100, 200]
+
+
 class _SerialPool:
     """Stands in for ThreadPoolExecutor: records its size, starts no thread."""
 
@@ -276,24 +296,13 @@ class _SerialPool:
 
 class TestThreadPool:
     @pytest.mark.parametrize(
-        "workers,cpus,scheme,size",
-        [
-            (500, 64, "fresh", 6),  # 2 sizes x 3 replicates
-            (500, 64, "bootstrap", 2),  # one task per size
-            (500, 4, "fresh", 4),
-            (500, None, "fresh", 1),
-            (3, 64, "fresh", 3),
-        ],
+        "workers,cpus,size", [(500, 4, 4), (500, None, 1), (3, 64, 3)]
     )
-    def test_pool_is_bounded_by_tasks_and_cpus(
-        self, monkeypatch, workers, cpus, scheme, size
-    ):
+    def test_pool_is_bounded_by_the_cpus(self, monkeypatch, workers, cpus, size):
         monkeypatch.setattr(simlab, "ThreadPoolExecutor", _SerialPool)
         monkeypatch.setattr(simlab.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(_SerialPool, "sizes", [])
-        config = SimConfig(
-            replicates=3, m_grid=(100, 200), seed=1, scheme=scheme, workers=workers
-        )
+        config = SimConfig(replicates=3, m_grid=(100, 200), seed=1, workers=workers)
         _, trace = find_crossing(GeneratorSpec.shifted_mean(1.0), config)
         assert _SerialPool.sizes == [size]
         assert [t.m for t in trace] == [100, 200]
