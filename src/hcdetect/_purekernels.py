@@ -171,9 +171,11 @@ ND_F = (
 
 # Inputs longer than this run through the kernel in blocks of this many
 # elements into one output array, so a kernel's temporaries stay
-# block-sized. The kernels are elementwise, so the bits are those of one
-# whole-array call. Every Monte Carlo array (m <= 1e5) is one block.
-_BLOCK = 1 << 17
+# block-sized: at most 256 KB each, which the allocator reuses from call
+# to call (at 2**17 it returned the pages to the kernel and faulted them
+# in again on every Monte Carlo replicate). The kernels are elementwise,
+# so the bits are those of one whole-array call.
+_BLOCK = 1 << 15
 
 
 def _vectorized(fn):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backend
+from . import _purekernels, backend
 from .errors import (
     DomainError,
     NonFiniteError,
@@ -211,20 +211,30 @@ def hc_from_sorted_p(p_sorted: np.ndarray) -> np.ndarray:
 
 
 def _hc_leading_ranks(p: np.ndarray, m: int) -> np.ndarray:
-    # The HC components of ranks 1..p.size out of m sorted p-values.
-    i = np.arange(1, p.size + 1, dtype=np.float64)
-    num = np.sqrt(m) * (i / m - p)
-    denom = np.sqrt(p * (1.0 - p))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / denom
-    degenerate = denom == 0.0
-    if degenerate.any():
-        with np.errstate(invalid="ignore"):
-            out[degenerate] = np.where(
-                num[degenerate] == 0.0,
-                0.0,
-                np.sign(num[degenerate]) * np.inf,
-            )
+    # The HC components sqrt(m) (i/m - p) / sqrt(p (1 - p)) of ranks
+    # 1..p.size out of m sorted p-values, computed in place in blocks of
+    # _purekernels._BLOCK ranks so the temporaries stay block-sized. Every
+    # operation is elementwise, so the bits are those of one whole-array
+    # pass.
+    out = np.empty(p.size)
+    scale = np.sqrt(m)
+    block = _purekernels._BLOCK
+    for start in range(0, p.size, block):
+        q = p[start : start + block]
+        hc = out[start : start + q.size]
+        np.divide(np.arange(start + 1, start + q.size + 1, dtype=np.float64), m, out=hc)
+        hc -= q
+        hc *= scale
+        denom = 1.0 - q
+        denom *= q
+        np.sqrt(denom, out=denom)
+        degenerate = np.flatnonzero(denom == 0.0)
+        num = hc[degenerate]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hc /= denom
+        if degenerate.size:
+            with np.errstate(invalid="ignore"):
+                hc[degenerate] = np.where(num == 0.0, 0.0, np.sign(num) * np.inf)
     return out
 
 
@@ -347,12 +357,13 @@ def hc_test_statistic(values: np.ndarray) -> float:
     return _hc_statistic(x)
 
 
-def _hc_statistic(x: np.ndarray) -> float:
+def _hc_statistic(x: np.ndarray, out: np.ndarray | None = None) -> float:
     # hc_test_statistic of a 1-D float64 array already checked for length
-    # and finiteness.
+    # and finiteness. |x| goes into out, which the call reorders: a new
+    # array by default, or a caller's m-element buffer, which may be x.
     m = x.size
     half = max(m // 2, 1)
-    top = np.abs(x)
+    top = np.abs(x, out=out)
     top.partition(m - half)
     p = backend.two_sided_p(top[m - half :])
     p.sort()
@@ -363,7 +374,9 @@ def _hc_statistic(x: np.ndarray) -> float:
     # sample has a smaller p, and these are the full sort's first half.
     if keep.any() and p[-1] <= P_CEIL:
         return float(_hc_leading_ranks(p, m)[keep].max())
-    p = np.sort(backend.two_sided_p(x))
+    # two_sided_p(|x|) has the bits of two_sided_p(x), and the sort undoes
+    # the reordering
+    p = np.sort(backend.two_sided_p(top))
     hc = hc_from_sorted_p(p)
     keep = p[:half] > 1.0 / m
     if keep.any():

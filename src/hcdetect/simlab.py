@@ -14,6 +14,11 @@ the entropy tuple (master seed, m, r), whatever the spec, so results are
 independent of execution order and worker count, and one draw serves
 every spec of a sweep (common random numbers).
 
+Each pool thread draws, combines and ranks its replicates in one
+workspace of three max(m)-long rows, made once per grid run, so the
+replicate loop reuses the same resident memory from task to task instead
+of allocating and freeing m-sized arrays per replicate.
+
 Normal variates are produced by inverse-CDF transform of PCG64 uniforms,
 which is reproducible bit-for-bit across platforms for a fixed numpy
 stream version.
@@ -148,19 +153,27 @@ class BoundaryCurve:
     points: tuple[BoundaryPoint, ...]
 
 
-def _standard_normals(m: int, rng: np.random.Generator) -> np.ndarray:
-    u = rng.random(m)
+def _standard_normals(
+    m: int, rng: np.random.Generator, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    u = rng.random(m, out=scratch)
     np.maximum(u, 2.0**-54, out=u)  # u = 0 occurs with probability 2**-53
     return np.asarray(backend.ndtri(u))
 
 
 def _draw(
-    m: int, rng: np.random.Generator, mixture: bool
+    m: int,
+    rng: np.random.Generator,
+    mixture: bool,
+    rows: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The normal block z, then the Bernoulli selector's uniforms when a
-    mixture needs them: every kind reads the stream in this order."""
-    z = _standard_normals(m, rng)
-    return z, (rng.random(m) if mixture else None)
+    mixture needs them: every kind reads the stream in this order. The
+    uniforms go into the m-element rows when given (the first is scratch
+    for z's uniforms, the second holds the selector) and into new arrays
+    otherwise; either way the stream is read the same."""
+    z = _standard_normals(m, rng, rows[0])
+    return z, (rng.random(m, out=rows[1]) if mixture else None)
 
 
 def _combine(
@@ -208,6 +221,14 @@ def _hc_table(
     element-wise combine. Each task writes only its own slots. |z| < 9
     and mu is finite, so every sample is finite and the statistic skips
     its checks.
+
+    Each pool thread keeps one workspace for the whole call: three rows
+    of max(grid) float64, of which a task at size m uses the first m
+    columns. They hold z's uniforms (or the bootstrap's gathered z), the
+    selector, and the combined x, which the statistic then overwrites
+    with its reordered |x|. Reusing them keeps the replicate loop's
+    memory resident instead of freeing and faulting it in again per
+    replicate; the workspaces are dropped when the call returns.
     """
     mixture = any(spec.kind == "sparse_mixture" for spec in specs)
     hcs = np.empty((len(specs), len(grid), config.replicates))
@@ -216,6 +237,7 @@ def _hc_table(
     bases = [None] * len(grid)
     left = [config.replicates] * len(grid)
     locks = [threading.Lock() for _ in grid]
+    workspace = threading.local()
 
     def base(j):
         with locks[j]:
@@ -230,15 +252,20 @@ def _hc_table(
     def run(task):
         j, r = task
         m = grid[j]
+        if not hasattr(workspace, "rows"):
+            workspace.rows = np.empty((3, max(grid)))
+        draws, selector, x = workspace.rows[:, :m]
         rng = np.random.default_rng((config.seed, m, r))
         if config.scheme == "fresh":
-            z, sel = _draw(m, rng, mixture)
+            z, sel = _draw(m, rng, mixture, (draws, selector))
         else:  # resample the base draw with replacement
             idx = rng.integers(0, m, m)
-            z, sel = (None if a is None else a[idx] for a in base(j))
-        x = np.empty(m)
+            z, sel = (
+                None if a is None else np.take(a, idx, out=row)
+                for a, row in zip(base(j), (draws, selector))
+            )
         for s, spec in enumerate(specs):
-            hcs[s, j, r] = _hc_statistic(_combine(spec, z, sel, x))
+            hcs[s, j, r] = _hc_statistic(_combine(spec, z, sel, x), x)
 
     tasks = [(j, r) for j in range(len(grid)) for r in range(config.replicates)]
     workers = min(config.workers, os.cpu_count() or 1)

@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcdetect import (
+    GeneratorSpec,
     TimeSeries,
     asymptotic_threshold,
     hc_from_sorted_p,
     hc_test_statistic,
     kurtosis,
     profile_series,
+    sample,
     standardize,
     tukey_hc,
 )
@@ -186,6 +188,34 @@ class TestHcFormula:
         assert (hc[:-1] < 0).all()
         expected_top = math.sqrt(3) * 1e-5 / math.sqrt(0.99999 * 1e-5)
         assert hc[-1] == pytest.approx(expected_top, rel=1e-9)
+
+    def test_blocked_ranks_match_one_whole_array_pass(self, monkeypatch):
+        # p-values of 0 and 1 put the degenerate components (+inf at p = 0,
+        # -inf at p = 1, and 0 at p = 1 on the last rank) across seams
+        m = 7 * 9 + 4
+        p = np.sort(np.random.default_rng(5).random(m))
+        p[:9] = 0.0
+        p[-10:] = 1.0
+        monkeypatch.setattr(_purekernels, "_BLOCK", 1 << 62)
+        whole = hc_from_sorted_p(p)
+        leading = core._hc_leading_ranks(p[:40], m)
+        assert np.isinf(whole[:9]).all() and whole[-1] == 0.0
+        monkeypatch.setattr(_purekernels, "_BLOCK", 7)
+        assert hc_from_sorted_p(p).tobytes() == whole.tobytes()
+        assert core._hc_leading_ranks(p[:40], m).tobytes() == leading.tobytes()
+
+    def test_temporaries_stay_block_sized(self):
+        p = np.sort(np.random.default_rng(42).random(1 << 20))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            hc_from_sorted_p(p)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the output plus one block's temporaries; the whole-array pass
+        # peaks at about 4x the input
+        assert peak < 1.5 * p.nbytes
 
 
 class TestAsymptoticThreshold:
@@ -613,6 +643,21 @@ class TestTestStatistic:
         assert int(np.argmax(hc)) == 5
         assert hc_test_statistic(x) == float(hc.max())
         assert hc_test_statistic(x) > hc[:5].max()
+
+    def test_leaves_its_input_untouched(self):
+        for n, x in enumerate(_statistic_inputs()):
+            before = x.tobytes()
+            hc_test_statistic(x)
+            assert x.tobytes() == before, n
+
+    def test_accepts_read_only_input(self):
+        # the second input takes the full-sort fallback
+        for values in (
+            sample(GeneratorSpec.sparse_mixture(0.1, 2.0), 1000, 3).values,
+            TimeSeries(values=[0.0] * 6 + [1e-6] * 4).values,
+        ):
+            assert not values.flags.writeable
+            assert hc_test_statistic(values) == _full_sort_statistic(values)
 
     @pytest.mark.parametrize("kernels", ["pure", "native"])
     def test_equals_the_full_sort_reference(self, monkeypatch, request, kernels):

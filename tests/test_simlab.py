@@ -16,7 +16,7 @@ from hcdetect import (
     mc_hc,
     sample,
 )
-from hcdetect import simlab
+from hcdetect import _purekernels, simlab
 from hcdetect.errors import DomainError
 from hcdetect.simlab import _curve, _first_crossing, default_m_grid
 
@@ -200,34 +200,24 @@ class TestBoundaryGrids:
     @pytest.mark.parametrize("aggregator", ["mean", "median"])
     @pytest.mark.parametrize("scheme", ["fresh", "bootstrap"])
     def test_curve_matches_the_documented_recipe(self, scheme, aggregator, workers):
-        # The reference draws every (spec, m, r) sample on its own.
         config = SimConfig(
             replicates=4, m_grid=(200, 500, 1000), seed=12, aggregator=aggregator,
             scheme=scheme, workers=workers,
         )
-        curve = _curve("all", ALL_KINDS, config)
-        aggregate = np.mean if aggregator == "mean" else np.median
-        for (params, spec), point in zip(ALL_KINDS, curve.points):
-            expected = []
-            for m in config.m_grid:
-                if scheme == "fresh":
-                    hcs = [
-                        hc_test_statistic(sample(spec, m, (12, m, r)).values)
-                        for r in range(4)
-                    ]
-                else:
-                    base = sample(spec, m, (12, m)).values
-                    hcs = [
-                        hc_test_statistic(
-                            base[np.random.default_rng((12, m, r)).integers(0, m, m)]
-                        )
-                        for r in range(4)
-                    ]
-                agg = float(aggregate(hcs))
-                expected.append(TracePoint(m, agg, asymptotic_threshold(m)))
-            assert point.params == params
-            assert list(point.trace) == expected
-            assert point.m_star == _first_crossing(tuple(expected), 2)
+        _assert_curve_matches_the_recipe(config)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("scheme", ["fresh", "bootstrap"])
+    def test_workspace_rows_straddle_the_kernel_block(self, scheme, workers):
+        # Each pool thread's rows are as long as the largest m: the smaller
+        # size uses their first columns, the larger one runs the kernels
+        # in more than one block.
+        config = SimConfig(
+            replicates=2, m_grid=(1000, 40_000), seed=12, scheme=scheme,
+            workers=workers,
+        )
+        assert config.m_grid[0] < _purekernels._BLOCK < config.m_grid[-1]
+        _assert_curve_matches_the_recipe(config)
 
     @pytest.mark.parametrize("scheme", ["fresh", "bootstrap"])
     def test_spec_order_does_not_change_traces(self, scheme):
@@ -274,6 +264,34 @@ def test_bootstrap_draws_each_base_once(monkeypatch):
     )
     boundary_grid_sparse([0.1], [1.0, 2.0], config)
     assert sorted(draws) == [100, 200]
+
+
+def _assert_curve_matches_the_recipe(config: SimConfig) -> None:
+    # The reference draws every (spec, m, r) sample on its own.
+    curve = _curve("all", ALL_KINDS, config)
+    aggregate = np.mean if config.aggregator == "mean" else np.median
+    reps = range(config.replicates)
+    for (params, spec), point in zip(ALL_KINDS, curve.points):
+        expected = []
+        for m in config.m_grid:
+            if config.scheme == "fresh":
+                hcs = [
+                    hc_test_statistic(sample(spec, m, (config.seed, m, r)).values)
+                    for r in reps
+                ]
+            else:
+                base = sample(spec, m, (config.seed, m)).values
+                hcs = [
+                    hc_test_statistic(
+                        base[np.random.default_rng((config.seed, m, r)).integers(0, m, m)]
+                    )
+                    for r in reps
+                ]
+            agg = float(aggregate(hcs))
+            expected.append(TracePoint(m, agg, asymptotic_threshold(m)))
+        assert point.params == params
+        assert list(point.trace) == expected
+        assert point.m_star == _first_crossing(tuple(expected), config.hysteresis)
 
 
 class _SerialPool:
