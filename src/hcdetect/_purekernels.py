@@ -6,7 +6,9 @@ Vendored rational approximations:
   Microsystems, 1993; freely redistributable), including the
   split-argument trick ``exp(-z*z - 0.5625) * exp((z-x)(z+x) + R/S)`` with
   the low mantissa word of ``z`` zeroed, which keeps the tail accurate to
-  about 1 ulp out to ``erfc(28)``.
+  about 1 ulp out to ``erfc(28)``. It is defined on [0, inf) only, the
+  domain of ``two_sided_p``'s scaled |z|: msun's arms for negative input
+  are not carried.
 * ``ndtri`` is Wichura's PPND16 rational approximation (AS 241) for the
   standard normal quantile, accurate to ~1e-15 relative.
 
@@ -213,9 +215,9 @@ def _ratio(num: tuple[float, ...], den: tuple[float, ...], x: np.ndarray) -> np.
     return out
 
 
-def _within(ax: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    # The positions of lo <= ax < hi; a NaN lies in no piece.
-    return np.flatnonzero((ax >= lo) & (ax < hi))
+def _within(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    # The positions of lo <= x < hi; a NaN lies in no piece.
+    return np.flatnonzero((x >= lo) & (x < hi))
 
 
 def _split(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,32 +243,28 @@ def _tail_factor(ax: np.ndarray, r_over_s: np.ndarray) -> np.ndarray:
 
 @_vectorized
 def erfc(x) -> np.ndarray:
-    ax = np.abs(x)
-    # |x| >= 28: 0 on the right, 2 on the left
-    out = np.where(x > 0.0, 0.0, 2.0)
+    """erfc(x) for x >= 0; a NaN gives NaN."""
+    # x >= 28: 0
+    out = np.zeros_like(x)
 
-    i = np.flatnonzero(ax < 2.0**-56)
+    i = np.flatnonzero(x < 2.0**-56)
     if i.size:
         out[i] = 1.0 - x[i]
 
-    i = _within(ax, 2.0**-56, 0.84375)
+    i = _within(x, 2.0**-56, 0.84375)
     if i.size:
         xi = x[i]
         xy = _ratio(PP, QQ, xi * xi)
         xy *= xi
-        small = np.abs(xi) < 0.25
-        out[i] = np.where(small, 1.0 - (xi + xy), 0.5 - (xy + (xi - 0.5)))
+        out[i] = np.where(xi < 0.25, 1.0 - (xi + xy), 0.5 - (xy + (xi - 0.5)))
 
-    i = _within(ax, 0.84375, 1.25)
+    i = _within(x, 0.84375, 1.25)
     if i.size:
-        xi = x[i]
-        pq = _ratio(PA, QA, ax[i] - 1.0)
-        out[i] = np.where(xi >= 0.0, 1.0 - ERX - pq, 1.0 + (ERX + pq))
+        out[i] = 1.0 - ERX - _ratio(PA, QA, x[i] - 1.0)
 
-    i = _within(ax, 1.25, 28.0)
+    i = _within(x, 1.25, 28.0)
     if i.size:
-        xi = x[i]
-        a = ax[i]
+        a = x[i]
         s = 1.0 / (a * a)
         rs = np.empty_like(a)
         for j, num, den in zip(_split(a < 1.0 / 0.35), (RA, RB), (SA, SB)):
@@ -275,8 +273,7 @@ def erfc(x) -> np.ndarray:
         with np.errstate(under="ignore"):
             r = _tail_factor(a, rs)
             r /= a
-        # right tail: r; left tail: 2 - r, collapsing to 2.0 below -6
-        out[i] = np.where(xi < 0.0, np.where(a > 6.0, 2.0, 2.0 - r), r)
+        out[i] = r
 
     m = np.isnan(x)
     if m.any():

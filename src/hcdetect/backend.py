@@ -1,10 +1,11 @@
 """Kernel backend selection.
 
-The hot scalar kernels (erfc, normal quantile, two-sided p-value map) exist
-twice: a plain C library (``_native.c``, built by ``setup.py`` into the
-package as the ``hcdetect._native`` extension file and loaded with ctypes)
-and a pure-numpy fallback (``hcdetect._purekernels``). The compiled one is
-used when it has been built; ``HCDETECT_BACKEND=pure`` or ``=native``
+The hot scalar kernels, the normal quantile ``ndtri`` and the two-sided
+p-value map ``two_sided_p`` (erfc of the scaled |z|), exist twice: a plain
+C library (``_native.c``, built by ``setup.py`` into the package as the
+``hcdetect._native`` extension file and loaded with ctypes) and a
+pure-numpy fallback (``hcdetect._purekernels``). The compiled one is used
+when it has been built; ``HCDETECT_BACKEND=pure`` or ``=native``
 forces a choice (the latter raises if the library is missing). Nothing is
 compiled at import time.
 
@@ -29,7 +30,7 @@ import numpy as np
 from . import _purekernels
 from ._purekernels import _vectorized
 
-KERNELS = ("erfc", "ndtri", "two_sided_p")
+KERNELS = ("ndtri", "two_sided_p")
 
 
 def _wrap(cfn, name: str):
@@ -75,13 +76,11 @@ if _requested != "pure":
         if _requested == "native":
             raise ImportError(f"native backend unavailable: {exc}") from exc
 
-erfc = _impl.erfc
 ndtri = _impl.ndtri
 two_sided_p = _impl.two_sided_p
 
 P_FLOOR = _purekernels.P_FLOOR
 P_CEIL = _purekernels.P_CEIL
-INV_SQRT2 = _purekernels._INV_SQRT2
 
 
 def backend_name() -> str:

@@ -196,8 +196,9 @@ def two_sided_p(x: float) -> float:
 
 
 def gaussian_tail_prob(x: float) -> float:
-    """Unclamped P(|N(0,1)| > |x|), for oracle comparison."""
-    return float(backend.erfc(np.abs(np.asarray([x])) * backend.INV_SQRT2)[0])
+    """Unclamped P(|N(0,1)| > |x|), for oracle comparison. It takes the pure
+    erfc on either backend, so its bits do not depend on the build."""
+    return _purekernels.erfc(abs(x) * _purekernels._INV_SQRT2)
 
 
 def hc_from_sorted_p(p_sorted: np.ndarray) -> np.ndarray:
@@ -272,16 +273,14 @@ def kurtosis(series: TimeSeries) -> KurtosisReport:
     return _kurtosis_of(standardize(series))
 
 
-def _exact_order(
-    key: np.ndarray, *ties: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The order of a stable sort of the finite ``key`` by (key, *ties,
-    index), and ``key`` in that order.
+def _exact_order(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The order of a stable sort of the finite ``key``, and ``key`` in
+    that order.
 
     numpy's default argsort (a SIMD quicksort where the CPU has one) does
     the bulk. The elements in runs of equal keys (0.0 == -0.0 included)
-    are then taken in index order and put in (key, *ties) order by one
-    stable lexsort over them alone.
+    are then taken in index order and put in key order by one stable
+    argsort over them alone.
     """
     order = np.argsort(key)
     srt = key[order]
@@ -289,16 +288,9 @@ def _exact_order(
     pos = np.flatnonzero(~(new[:-1] & new[1:]))
     if pos.size:
         idx = np.sort(order[pos])
-        order[pos] = idx[np.lexsort((*(t[idx] for t in reversed(ties)), key[idx]))]
+        order[pos] = idx[np.argsort(key[idx], kind="stable")]
         srt[pos] = key[order[pos]]
     return order, srt
-
-
-def _rank_order(p: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Primary: p ascending. Ties (clamped extremes) keep the underlying
-    # tail ordering, i.e. larger |z| first, and exact |z| ties keep time
-    # order: the order of np.lexsort((arange(m), -|z|, p)), and p in it.
-    return _exact_order(p, -np.abs(z))
 
 
 def hc_profile(
@@ -314,8 +306,18 @@ def hc_profile(
     m = z.size
     if m < MIN_LENGTH:
         raise TooShortError(f"profile needs at least {MIN_LENGTH} samples")
-    order, p_sorted = _rank_order(backend.two_sided_p(z), z)
-    hc = hc_from_sorted_p(p_sorted)
+    # Ranks are ordered by p ascending, then |z| descending, then time: the
+    # order of np.lexsort((arange(m), -|z|, p)). p is non-increasing in |z|
+    # except next to 0, where an exact erfc = 1 clamps to P_CEIL below the
+    # p of a tiny |z|. So sorting -|z| gives that order when p comes out
+    # non-decreasing in it; otherwise one stable sort of p repairs it.
+    key = np.abs(z)
+    order, key = _exact_order(np.negative(key, out=key))
+    p = backend.two_sided_p(key)
+    if (p[1:] < p[:-1]).any():
+        fix = np.argsort(p, kind="stable")
+        order, p = order[fix], p[fix]
+    hc = hc_from_sorted_p(p)
     max_rank = m // 2 if restricted_rank_range else m
     max_rank = max(max_rank, 1)
     hc_max = float(hc[:max_rank].max())
@@ -348,7 +350,9 @@ def hc_test_statistic(values: np.ndarray) -> float:
     experiment degenerate.
 
     Only the half of the samples with the largest |x| is converted to
-    p-values and sorted, unless the rare fallback below needs all of them.
+    p-values and sorted. All m are converted only when that half cannot
+    decide the maximum: its largest p-value is the clamp next to 0, or none
+    of its p-values exceeds 1/m.
     """
     x = np.asarray(values, dtype=np.float64).reshape(-1)
     if x.size < MIN_LENGTH:
@@ -367,17 +371,17 @@ def _hc_statistic(x: np.ndarray, out: np.ndarray | None = None) -> float:
     top.partition(m - half)
     p = backend.two_sided_p(top[m - half :])
     p.sort()
-    keep = p > 1.0 / m
     # two_sided_p is non-increasing in |x| wherever p <= P_CEIL, but not
     # next to 0: an exact 0 clamps to P_CEIL while |x| = 1e-6 gives
     # 0.9999992. So while every p of the top half is <= P_CEIL, no other
-    # sample has a smaller p, and these are the full sort's first half.
-    if keep.any() and p[-1] <= P_CEIL:
-        return float(_hc_leading_ranks(p, m)[keep].max())
-    # two_sided_p(|x|) has the bits of two_sided_p(x), and the sort undoes
-    # the reordering
-    p = np.sort(backend.two_sided_p(top))
-    hc = hc_from_sorted_p(p)
+    # sample has a smaller p, and these are the full sort's first half;
+    # they decide the maximum when one of them exceeds 1/m. Otherwise all
+    # m are converted: two_sided_p(|x|) has the bits of two_sided_p(x),
+    # and the sort undoes the reordering.
+    if not 1.0 / m < p[-1] <= P_CEIL:
+        p = backend.two_sided_p(top)
+        p.sort()
+    hc = _hc_leading_ranks(p, m)
     keep = p[:half] > 1.0 / m
     if keep.any():
         return float(hc[:half][keep].max())

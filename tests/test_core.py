@@ -24,11 +24,13 @@ from hcdetect import (
 )
 from hcdetect import _purekernels, backend, core
 from hcdetect.core import (
+    MIN_LENGTH,
     P_FLOOR,
+    StandardizedSeries,
     _exact_order,
     _kurtosis_of,
     _power_sum,
-    _rank_order,
+    hc_profile,
 )
 from hcdetect.errors import (
     DomainError,
@@ -541,6 +543,7 @@ def _order_inputs() -> dict[str, np.ndarray]:
     spikes = np.repeat([40.0, -40.0, 45.0, -45.0, 60.0], 7)
     runs = np.repeat([1.0, 2.0, 2.5, 3.0, -1.0], [3, 5, 1, 7, 2])
     zeros = np.where(np.arange(300) % 2, -0.0, 0.0)
+    symmetric = rng.standard_normal(400)
     return {
         "n0": np.zeros(0),
         "n1": np.array([1.5]),
@@ -562,6 +565,11 @@ def _order_inputs() -> dict[str, np.ndarray]:
             np.concatenate([np.tile(spikes, 4), rng.standard_normal(60)])
         ),
         "rounded_normals": np.round(rng.standard_normal(100_000), 1),
+        # symmetric about 0, so its exact mean is 0 and standardizing keeps
+        # the exact zeros, whose p clamps to P_CEIL below the p of 1e-7
+        "symmetric_with_zeros": rng.permutation(
+            np.concatenate([symmetric, -symmetric, zeros[:40], [1e-7, -1e-7] * 5])
+        ),
     }
 
 
@@ -583,30 +591,46 @@ class TestExactOrder:
         assert np.array_equal(order, want)
         assert srt.tobytes() == x[want].tobytes()
 
-    @pytest.mark.parametrize("name", sorted(_order_inputs()))
-    def test_rank_order_matches_three_key_lexsort(self, name):
+    @pytest.mark.parametrize(
+        "name", sorted(n for n, z in _order_inputs().items() if z.size >= MIN_LENGTH)
+    )
+    def test_profile_order_matches_three_key_lexsort(self, name):
         z = _order_inputs()[name]
+        prof = hc_profile(StandardizedSeries(values=z, source_mean=0.0, source_sd=1.0))
         p = backend.two_sided_p(z)
-        order, p_sorted = _rank_order(p, z)
         want = np.lexsort((np.arange(z.size), -np.abs(z), p))
-        assert np.array_equal(order, want)
-        assert p_sorted.tobytes() == p[want].tobytes()
+        assert np.array_equal(prof.original_indices, want)
+        assert prof.hc_values.tobytes() == hc_from_sorted_p(p[want]).tobytes()
+
+    def test_profile_repairs_the_clamp_next_to_zero(self):
+        z = _order_inputs()["symmetric_with_zeros"]
+        series = TimeSeries(values=z)
+        std = standardize(series)
+        assert std.source_mean == 0.0
+        z = std.values
+        # in (-|z|, time) order the p-values are not monotone: the exact
+        # zeros' P_CEIL follows the larger p of the +-1e-7 samples
+        by_abs = np.lexsort((np.arange(z.size), -np.abs(z)))
+        assert (np.diff(backend.two_sided_p(z[by_abs])) < 0).any()
+        want = np.lexsort((np.arange(z.size), -np.abs(z), backend.two_sided_p(z)))
+        assert np.array_equal(profile_series(series).original_indices, want)
 
     @pytest.mark.parametrize("name", sorted(_order_inputs()))
-    def test_lexsort_sees_only_the_tied_elements(self, name, monkeypatch):
+    def test_tie_repair_sees_only_the_tied_elements(self, name, monkeypatch):
         z = _order_inputs()[name]
-        p = backend.two_sided_p(z)
+        key = -np.abs(z)
+        want = [n for n in (_tied_count(z), _tied_count(key)) if n]
         sizes = []
-        lexsort = np.lexsort
+        argsort = np.argsort
 
-        def counting(keys):
-            sizes.append({np.asarray(k).size for k in keys})
-            return lexsort(keys)
+        def counting(a, *args, **kwargs):
+            if kwargs.get("kind") == "stable":
+                sizes.append(np.size(a))
+            return argsort(a, *args, **kwargs)
 
-        monkeypatch.setattr(np, "lexsort", counting)
+        monkeypatch.setattr(np, "argsort", counting)
         _exact_order(z)
-        _rank_order(p, z)
-        want = [{n} for n in (_tied_count(z), _tied_count(p)) if n]
+        _exact_order(key)
         assert sizes == want
 
     def test_inputs_reach_the_floor_and_mostly_tied_keys(self):
@@ -618,6 +642,21 @@ class TestExactOrder:
         assert _tied_count(p) > p.size // 2
         for name in ("all_equal", "signed_zeros", "rounded_normals"):
             assert _tied_count(inputs[name]) > inputs[name].size // 2, name
+
+
+def _two_sided_p_sizes(monkeypatch, x: np.ndarray) -> list[int]:
+    """The sizes of the backend.two_sided_p calls of hc_test_statistic(x)."""
+    sizes = []
+    real = backend.two_sided_p
+
+    def counting(z):
+        sizes.append(np.size(z))
+        return real(z)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(backend, "two_sided_p", counting)
+        hc_test_statistic(x)
+    return sizes
 
 
 class TestTestStatistic:
@@ -670,17 +709,23 @@ class TestTestStatistic:
             assert hc_test_statistic(x) == _full_sort_statistic(x), n
 
     def test_converts_only_the_top_half_to_p_values(self, monkeypatch):
-        sizes = []
-        real = backend.two_sided_p
-
-        def counting(z):
-            sizes.append(np.size(z))
-            return real(z)
-
-        monkeypatch.setattr(backend, "two_sided_p", counting)
         m = 10_001
-        hc_test_statistic(np.random.default_rng(31).standard_normal(m))
-        assert sizes == [m // 2]
+        x = np.random.default_rng(31).standard_normal(m)
+        assert _two_sided_p_sizes(monkeypatch, x) == [m // 2]
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # the half's largest p is an exact 0's clamp, below 1e-6's p
+            [0.0] * 6 + [1e-6] * 4,
+            # no p of the half exceeds 1/m
+            [40.0] * 6 + [0.1, -0.2, 0.3, -0.4],
+        ],
+    )
+    def test_converts_all_samples_when_the_half_cannot_decide(self, monkeypatch, values):
+        x = np.array(values)
+        assert _two_sided_p_sizes(monkeypatch, x) == [x.size // 2, x.size]
+        assert hc_test_statistic(x) == _full_sort_statistic(x)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
