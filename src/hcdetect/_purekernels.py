@@ -12,12 +12,14 @@ Vendored rational approximations:
 * ``ndtri`` is Wichura's PPND16 rational approximation (AS 241) for the
   standard normal quantile, accurate to ~1e-15 relative.
 
-Each kernel is piecewise in its input. A piece finds its elements once,
-as integer positions (``np.flatnonzero`` of its range test), gathers its
-inputs with them, computes on the gathered values in place, and scatters
-its results back through the same positions; a boolean mask would be
-scanned again at every gather and scatter. ``ndtri``'s central formula is
-the exception: it runs on every element, and the tails overwrite theirs.
+Each kernel is piecewise in its input. ``erfc``'s pieces are contiguous
+slices of ascending input: one ``np.searchsorted`` finds their edges, and
+each piece computes on its slice of the input into the same slice of the
+output. The callers sort their magnitudes first, so this is their path.
+Input that is not ascending, or that holds a NaN, goes through one
+``argsort``: it is gathered into order, computed, and scattered back.
+``ndtri``'s central formula runs on every element (most samples are
+central), and its tails gather and scatter theirs by integer position.
 The arithmetic and its order are those of the boolean-mask form, which
 ``tests/test_special.py`` keeps as the oracle for the output bits.
 
@@ -182,7 +184,9 @@ _BLOCK = 1 << 15
 
 def _vectorized(fn):
     def wrapper(x):
-        arr = np.atleast_1d(np.asarray(x, dtype=np.float64)).ravel()
+        # reshape, not ravel: a strided 1-D view, such as hc_profile's
+        # reversed keys, is not copied whole
+        arr = np.atleast_1d(np.asarray(x, dtype=np.float64)).reshape(-1)
         if arr.size > _BLOCK:
             out = np.empty_like(arr)
             for i in range(0, arr.size, _BLOCK):
@@ -210,14 +214,11 @@ def _poly(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
 
 
 def _ratio(num: tuple[float, ...], den: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    if not x.size:  # an empty piece skips numpy's fixed cost per call
+        return np.empty(0)
     out = _poly(num, x)
     out /= _poly(den, x)
     return out
-
-
-def _within(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    # The positions of lo <= x < hi; a NaN lies in no piece.
-    return np.flatnonzero((x >= lo) & (x < hi))
 
 
 def _split(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,43 +242,49 @@ def _tail_factor(ax: np.ndarray, r_over_s: np.ndarray) -> np.ndarray:
     return out
 
 
+# The edges of erfc's pieces: [0, 2**-56), [2**-56, 0.25), [0.25, 0.84375),
+# [0.84375, 1.25), [1.25, 1/0.35), [1/0.35, 28), [28, inf], then the NaNs.
+_ERFC_CUTS = np.array([2.0**-56, 0.25, 0.84375, 1.25, 1.0 / 0.35, 28.0, np.nan])
+
+
+def _erfc_ascending(x: np.ndarray) -> np.ndarray:
+    # erfc of ascending x >= 0 with any NaNs last: every piece is a slice.
+    out = np.empty_like(x)
+    tiny, quarter, pa, tail, rb, zero, nan = np.searchsorted(x, _ERFC_CUTS).tolist()
+
+    np.subtract(1.0, x[:tiny], out=out[:tiny])
+
+    xi = x[tiny:pa]
+    xy = _ratio(PP, QQ, xi * xi)
+    xy *= xi
+    # below 0.25: 1 - (x + x*y); from 0.25: 0.5 - (x*y + (x - 0.5))
+    k = quarter - tiny
+    np.subtract(1.0, xi[:k] + xy[:k], out=out[tiny:quarter])
+    np.subtract(0.5, xy[k:] + (xi[k:] - 0.5), out=out[quarter:pa])
+
+    np.subtract(1.0 - ERX, _ratio(PA, QA, x[pa:tail] - 1.0), out=out[pa:tail])
+
+    a = x[tail:zero]
+    s = 1.0 / (a * a)
+    k = rb - tail
+    rs = np.concatenate((_ratio(RA, SA, s[:k]), _ratio(RB, SB, s[k:])))
+    with np.errstate(under="ignore"):
+        np.divide(_tail_factor(a, rs), a, out=out[tail:zero])
+
+    out[zero:nan] = 0.0
+    out[nan:] = np.nan
+    return out
+
+
 @_vectorized
 def erfc(x) -> np.ndarray:
     """erfc(x) for x >= 0; a NaN gives NaN."""
-    # x >= 28: 0
-    out = np.zeros_like(x)
-
-    i = np.flatnonzero(x < 2.0**-56)
-    if i.size:
-        out[i] = 1.0 - x[i]
-
-    i = _within(x, 2.0**-56, 0.84375)
-    if i.size:
-        xi = x[i]
-        xy = _ratio(PP, QQ, xi * xi)
-        xy *= xi
-        out[i] = np.where(xi < 0.25, 1.0 - (xi + xy), 0.5 - (xy + (xi - 0.5)))
-
-    i = _within(x, 0.84375, 1.25)
-    if i.size:
-        out[i] = 1.0 - ERX - _ratio(PA, QA, x[i] - 1.0)
-
-    i = _within(x, 1.25, 28.0)
-    if i.size:
-        a = x[i]
-        s = 1.0 / (a * a)
-        rs = np.empty_like(a)
-        for j, num, den in zip(_split(a < 1.0 / 0.35), (RA, RB), (SA, SB)):
-            if j.size:
-                rs[j] = _ratio(num, den, s[j])
-        with np.errstate(under="ignore"):
-            r = _tail_factor(a, rs)
-            r /= a
-        out[i] = r
-
-    m = np.isnan(x)
-    if m.any():
-        out[m] = np.nan
+    if (x[1:] >= x[:-1]).all():
+        return _erfc_ascending(x)
+    # Every operation is elementwise, so the order of ties does not matter.
+    order = np.argsort(x)
+    out = np.empty_like(x)
+    out[order] = _erfc_ascending(x[order])
     return out
 
 

@@ -13,6 +13,7 @@ its traceback to stderr, ahead of the one-line message.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 import traceback
@@ -130,7 +131,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_parent_dirs(*paths: str | None) -> None:
+    # Fail before the ingest or the sweep, not after it: an output whose
+    # directory is missing would otherwise cost the whole run, or leave a
+    # partial result behind.
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, "no such directory for output", path)
+
+
 def _cmd_detect(args) -> int:
+    masked_csv = None if args.masked_csv is None else f"{args.masked_csv}_t0.csv"
+    _require_parent_dirs(args.out, masked_csv)
     spec = InputSpec(path=Path(args.input), format=args.format, channel=args.channel)
     series = ingest(spec)
     config = DetectionConfig(
@@ -197,6 +209,7 @@ def _write_curve(
 
 
 def _cmd_simulate_mean(args) -> int:
+    _require_parent_dirs(args.out)
     mu = _parse_floats(args.mu)
     config = _sim_config(args)
     curve = boundary_grid_mean(mu, config)
@@ -204,6 +217,7 @@ def _cmd_simulate_mean(args) -> int:
 
 
 def _cmd_simulate_sparse(args) -> int:
+    _require_parent_dirs(args.out)
     eps = _parse_floats(args.eps)
     mu = _parse_floats(args.mu)
     variants = {

@@ -310,10 +310,11 @@ def hc_profile(
     # order of np.lexsort((arange(m), -|z|, p)). p is non-increasing in |z|
     # except next to 0, where an exact erfc = 1 clamps to P_CEIL below the
     # p of a tiny |z|. So sorting -|z| gives that order when p comes out
-    # non-decreasing in it; otherwise one stable sort of p repairs it.
+    # non-decreasing in it; otherwise one stable sort of p repairs it. The
+    # kernel gets |z| ascending, its fast path, and p is read reversed.
     key = np.abs(z)
     order, key = _exact_order(np.negative(key, out=key))
-    p = backend.two_sided_p(key)
+    p = backend.two_sided_p(key[::-1])[::-1]
     if (p[1:] < p[:-1]).any():
         fix = np.argsort(p, kind="stable")
         order, p = order[fix], p[fix]
@@ -349,10 +350,11 @@ def hc_test_statistic(values: np.ndarray) -> float:
     sqrt(2 ln ln m) for any desk-scale m, which would make every crossing
     experiment degenerate.
 
-    Only the half of the samples with the largest |x| is converted to
-    p-values and sorted. All m are converted only when that half cannot
-    decide the maximum: its largest p-value is the clamp next to 0, or none
-    of its p-values exceeds 1/m.
+    Only the half of the samples with the largest |x| is sorted and
+    converted to p-values, which come out in ascending order when read
+    backwards. All m are converted only when that half cannot decide the
+    maximum: its largest p-value is the clamp next to 0, or none of its
+    p-values exceeds 1/m.
     """
     x = np.asarray(values, dtype=np.float64).reshape(-1)
     if x.size < MIN_LENGTH:
@@ -369,20 +371,29 @@ def _hc_statistic(x: np.ndarray, out: np.ndarray | None = None) -> float:
     half = max(m // 2, 1)
     top = np.abs(x, out=out)
     top.partition(m - half)
-    p = backend.two_sided_p(top[m - half :])
-    p.sort()
+    p = _sorted_p(top[m - half :])
     # two_sided_p is non-increasing in |x| wherever p <= P_CEIL, but not
     # next to 0: an exact 0 clamps to P_CEIL while |x| = 1e-6 gives
     # 0.9999992. So while every p of the top half is <= P_CEIL, no other
     # sample has a smaller p, and these are the full sort's first half;
     # they decide the maximum when one of them exceeds 1/m. Otherwise all
-    # m are converted: two_sided_p(|x|) has the bits of two_sided_p(x),
-    # and the sort undoes the reordering.
+    # m are converted: two_sided_p(|x|) has the bits of two_sided_p(x).
     if not 1.0 / m < p[-1] <= P_CEIL:
-        p = backend.two_sided_p(top)
-        p.sort()
+        p = _sorted_p(top)
     hc = _hc_leading_ranks(p, m)
     keep = p[:half] > 1.0 / m
     if keep.any():
         return float(hc[:half][keep].max())
     return float(hc.max())
+
+
+def _sorted_p(a: np.ndarray) -> np.ndarray:
+    # The p-values of |x| = a in ascending order. a is sorted in place, so
+    # the kernel's output read backwards is in order, except where the
+    # clamp next to 0 breaks monotonicity; one sort repairs that. The
+    # reversed copy costs less than the strided passes that would read it.
+    a.sort()
+    p = backend.two_sided_p(a)[::-1].copy()
+    if (p[1:] < p[:-1]).any():
+        p = np.sort(p)
+    return p

@@ -529,6 +529,12 @@ class TestHcProfile:
         want = np.lexsort((np.arange(z.size), -np.abs(z), p))
         np.testing.assert_array_equal(prof.original_indices, want)
 
+    def test_kernel_sees_ascending_magnitudes(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        for values in (rng.standard_normal(70_001), np.round(rng.standard_normal(5000), 1)):
+            std = standardize(TimeSeries(values=values))
+            assert _two_sided_p_calls(monkeypatch, hc_profile, std) == [(values.size, True)]
+
     def test_restricted_range_uses_lower_half(self):
         rng = np.random.default_rng(15)
         values = rng.standard_normal(1000)
@@ -644,19 +650,21 @@ class TestExactOrder:
             assert _tied_count(inputs[name]) > inputs[name].size // 2, name
 
 
-def _two_sided_p_sizes(monkeypatch, x: np.ndarray) -> list[int]:
-    """The sizes of the backend.two_sided_p calls of hc_test_statistic(x)."""
-    sizes = []
+def _two_sided_p_calls(monkeypatch, fn, *args) -> list[tuple[int, bool]]:
+    """The backend.two_sided_p calls of fn(*args): each argument's size, and
+    whether its |z| is non-decreasing, the pure kernel's fast path."""
+    calls = []
     real = backend.two_sided_p
 
-    def counting(z):
-        sizes.append(np.size(z))
+    def recording(z):
+        a = np.abs(np.asarray(z)).ravel()
+        calls.append((a.size, bool((a[1:] >= a[:-1]).all())))
         return real(z)
 
     with monkeypatch.context() as patch:
-        patch.setattr(backend, "two_sided_p", counting)
-        hc_test_statistic(x)
-    return sizes
+        patch.setattr(backend, "two_sided_p", recording)
+        fn(*args)
+    return calls
 
 
 class TestTestStatistic:
@@ -711,7 +719,7 @@ class TestTestStatistic:
     def test_converts_only_the_top_half_to_p_values(self, monkeypatch):
         m = 10_001
         x = np.random.default_rng(31).standard_normal(m)
-        assert _two_sided_p_sizes(monkeypatch, x) == [m // 2]
+        assert _two_sided_p_calls(monkeypatch, hc_test_statistic, x) == [(m // 2, True)]
 
     @pytest.mark.parametrize(
         "values",
@@ -724,8 +732,29 @@ class TestTestStatistic:
     )
     def test_converts_all_samples_when_the_half_cannot_decide(self, monkeypatch, values):
         x = np.array(values)
-        assert _two_sided_p_sizes(monkeypatch, x) == [x.size // 2, x.size]
+        calls = _two_sided_p_calls(monkeypatch, hc_test_statistic, x)
+        assert calls == [(x.size // 2, True), (x.size, True)]
         assert hc_test_statistic(x) == _full_sort_statistic(x)
+
+    def test_repairs_the_clamp_next_to_zero(self, monkeypatch):
+        # Read backwards, the p-values of the sorted |x| put the exact
+        # zeros' P_CEIL after the larger p of 1e-6, in the top half (one
+        # zero, four 1e-6) and in all ten samples; one sort repairs each.
+        x = np.array([0.0] * 6 + [1e-6] * 4)
+        p = backend.two_sided_p(np.sort(x))[::-1]
+        assert (np.diff(p) < 0).any()
+        sorts = []
+        real_sort = np.sort
+
+        def counting_sort(a, *args, **kwargs):
+            sorts.append(np.size(a))
+            return real_sort(a, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "sort", counting_sort)
+            got = hc_test_statistic(x)
+        assert sorts == [x.size // 2, x.size]
+        assert got == _full_sort_statistic(x)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):

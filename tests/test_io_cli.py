@@ -289,6 +289,13 @@ def _write_noise_csv(tmp_path, m):
     return path
 
 
+def _record_calls(monkeypatch, name: str) -> list:
+    """Replace cli.<name> with a stub that records its calls."""
+    calls = []
+    monkeypatch.setattr(cli, name, lambda *args, **kwargs: calls.append(args))
+    return calls
+
+
 class TestCliDetect:
     def test_report_schema_and_recovery(self, tmp_path):
         path, locs = _write_spiked_csv(tmp_path)
@@ -386,6 +393,28 @@ class TestCliDetect:
         assert "is not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "outputs",
+        [
+            ["--out", "missing/report.json"],
+            ["--out", "report.json", "--masked-csv", "missing/masked"],
+        ],
+    )
+    def test_missing_output_directory_exits_1_before_ingest(
+        self, tmp_path, capsys, monkeypatch, outputs
+    ):
+        # before the check, the second run wrote report.json and then
+        # failed on the masked CSV, leaving a partial result behind
+        path = _write_noise_csv(tmp_path, 500)
+        calls = _record_calls(monkeypatch, "ingest")
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        code = main(["detect", "--input", str(path), *outputs])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("hcdetect: [Errno 2]")
+        assert calls == []
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code = main(["detect", "--input", str(tmp_path / "absent.csv")])
         assert code == 1
@@ -475,6 +504,25 @@ class TestCliSimulate:
         assert code == 2
         assert "seed must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate-mean", "simulate-sparse"])
+    def test_missing_output_directory_exits_1_before_the_sweep(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        signal = ["--mu", "1.0"] if command == "simulate-mean" else [
+            "--eps", "0.1", "--mu", "1.0"
+        ]
+        calls = _record_calls(monkeypatch, command.replace("simulate-", "boundary_grid_"))
+        code = main(
+            [
+                command, *signal, "--m-grid", "100,200", "--replicates", "2",
+                "--out", str(tmp_path / "missing" / "c.csv"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("hcdetect: [Errno 2]")
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_byte_identical_reruns_and_thread_invariance(self, tmp_path):
         args = [

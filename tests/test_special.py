@@ -369,13 +369,40 @@ def _oracle_inputs() -> dict[str, list[np.ndarray]]:
     return {"erfc": [np.abs(x) for x in xs], "two_sided_p": xs, "ndtri": us}
 
 
+def _orderings(name: str, arr: np.ndarray) -> dict[str, np.ndarray]:
+    # The input as given, ascending in the kernel's sort key (|x| for
+    # two_sided_p, NaNs last), descending, and shuffled. Ascending, erfc's
+    # pieces are contiguous slices and each cut's neighbours sit at a slice
+    # edge; descending and shuffled, the input goes through the argsort.
+    flat = arr.ravel()
+    key = np.abs(flat) if name == "two_sided_p" else flat
+    ascending = flat[np.argsort(key, kind="stable")]
+    shuffled = np.random.default_rng(flat.size).permutation(flat)
+    return {
+        "given": arr, "ascending": ascending,
+        "descending": ascending[::-1].copy(), "shuffled": shuffled,
+    }
+
+
 @pytest.mark.parametrize("name", sorted(MASK_ORACLES))
-def test_pure_kernels_match_mask_oracle_bits(name):
+def test_pure_kernels_match_mask_oracle_bits(name, monkeypatch):
     fn, oracle = getattr(pure, name), MASK_ORACLES[name]
+    argsorts = []
+    real_argsort = np.argsort
+
+    def counting_argsort(*args, **kwargs):
+        argsorts.append(np.size(args[0]))
+        return real_argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting_argsort)
     for arr in _oracle_inputs()[name]:
-        got, want = fn(arr), oracle(arr)
-        assert got.shape == want.shape == arr.shape, name
-        assert got.tobytes() == want.tobytes(), (name, arr.shape)
+        for order, x in _orderings(name, arr).items():
+            argsorts.clear()
+            got, want = fn(x), oracle(x)
+            assert got.shape == want.shape == x.shape, name
+            assert got.tobytes() == want.tobytes(), (name, order, arr.shape)
+            if order == "ascending" and not np.isnan(x).any():
+                assert argsorts == [], (name, arr.shape)  # the fast path
     for value in (0.0, -0.0, 0.3, 0.97, 1.3, -7.5, 30.0, np.inf, np.nan):
         if name == "erfc" and value < 0.0:
             continue  # outside erfc's domain
